@@ -8,9 +8,9 @@
  * still pay at scale" extrapolation).
  *
  * Stdout is deterministic (simulated results only; host timings go to
- * stderr), so MPC_SHARDS=k sweeps diff byte-clean against the
- * single-thread stepper. Writes SCALE64.json (the BENCH_*.json
- * bench+runs shape, so mpcreport folds it into its report).
+ * stderr), so runs diff byte-clean at any MPC_JOBS and in either step
+ * mode. Writes SCALE64.json (the BENCH_*.json bench+runs shape, so
+ * mpcreport folds it into its report).
  */
 
 #include "bench_common.hh"

@@ -155,29 +155,21 @@ benchOceanRun(bool skip_ahead, const char *label)
 }
 
 void
-benchShardedStepping(bool smoke)
+benchOceanMultiproc(bool smoke)
 {
-    // Serial/sharded row pairs must stay honestly labeled, so pin the
-    // shard count here rather than letting MPC_SHARDS (read by
-    // scaleConfig inside runWorkload) relabel half the pair.
-    unsetenv("MPC_SHARDS");
     workloads::SizeParams size;
     size.scale = 1;
     const auto w = workloads::makeOcean(size);
     for (int procs : {8, 16}) {
         if (smoke && procs > 8)
             continue;
-        for (int shards : {0, 4}) {
-            harness::RunSpec spec;
-            spec.procs = procs;
-            spec.config.shards = shards;
-            const auto t0 = clock_type::now();
-            const auto run = harness::runWorkload(w, spec);
-            char label[64];
-            std::snprintf(label, sizeof(label), "sim/ocean%dp-%s",
-                          procs, shards > 0 ? "shard4" : "serial");
-            record(label, secondsSince(t0), run.result.cycles);
-        }
+        harness::RunSpec spec;
+        spec.procs = procs;
+        const auto t0 = clock_type::now();
+        const auto run = harness::runWorkload(w, spec);
+        char label[64];
+        std::snprintf(label, sizeof(label), "sim/ocean%dp-serial", procs);
+        record(label, secondsSince(t0), run.result.cycles);
     }
 }
 
@@ -290,7 +282,7 @@ main(int argc, char **argv)
     benchSimulator(smoke ? 2000 : 20000, false, "sim/stream-reference");
     benchOceanRun(true, "sim/ocean-skip");
     benchOceanRun(false, "sim/ocean-reference");
-    benchShardedStepping(smoke);
+    benchOceanMultiproc(smoke);
     benchProfiler(smoke ? 3 : 20);
     benchCompiler(smoke ? 3 : 20);
     benchParallelScaling();

@@ -70,9 +70,6 @@ CoherenceFabric::handleRequest(NodeId requestor, Addr line_addr,
         const NodeId owner = e.owner;
         mem::Cache *owner_cache = caches_[static_cast<size_t>(owner)];
         MPC_ASSERT(owner_cache != nullptr, "no cache attached at owner");
-        if (probeSink_)
-            probeSink_(requestor, owner, line_addr,
-                       owner_cache->isResident(line_addr));
         owner_cache->probeInvalidate(line_addr);
         if (!exclusive) {
             // For GetS the owner could keep a Shared copy; our L2 probe
@@ -104,12 +101,8 @@ CoherenceFabric::handleRequest(NodeId requestor, Addr line_addr,
                     continue;
                 ++stats_.invalidations;
                 mem::Cache *sc = caches_[static_cast<size_t>(s)];
-                if (sc != nullptr) {
-                    if (probeSink_)
-                        probeSink_(requestor, s, line_addr,
-                                   sc->isResident(line_addr));
+                if (sc != nullptr)
                     sc->probeInvalidate(line_addr);
-                }
                 const Tick at_s = net_.send(dir_done, home, s,
                                             controlFlits());
                 const Tick ack = net_.send(at_s + cfg_.probeLatency, s,

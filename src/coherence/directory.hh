@@ -19,7 +19,6 @@
 #define MPC_COHERENCE_DIRECTORY_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -163,23 +162,6 @@ class CoherenceFabric
     int numNodes() const { return numNodes_; }
     int lineBytes() const { return cfg_.lineBytes; }
 
-    /**
-     * Observer of every coherence probe (invalidation sent to a cache),
-     * called as sink(requestor, victim, line_addr, resident) right
-     * before the victim cache is probed; `resident` tells whether the
-     * victim actually holds the line (a probe of a non-resident line
-     * only flags an in-flight MSHR, which no same-cycle victim access
-     * can observe). The sharded stepper uses this to detect the one
-     * pattern it cannot replay bit-identically: a same-cycle probe of
-     * a line the victim node itself touched, with the victim ordered
-     * after the requestor (see System::runLoopSharded). Empty (the
-     * default) costs one branch per probe.
-     */
-    using ProbeSink =
-        std::function<void(NodeId requestor, NodeId victim,
-                           Addr line_addr, bool resident)>;
-    void setProbeSink(ProbeSink sink) { probeSink_ = std::move(sink); }
-
     /** Fault injection for validation tests: set node @p n's sharer bit
      *  on @p line_addr's entry without touching the entry state or any
      *  cache. On an Uncached or Modified entry this breaks a structural
@@ -211,26 +193,12 @@ class CoherenceFabric
         request(Addr line_addr, bool exclusive,
                 Continuation on_fill) override
         {
-            // Sharded parallel phase: directory state is shared across
-            // shards, so capture the call in this thread's mailbox for
-            // serial replay at the barrier (in node order — the same
-            // order the single-thread stepper executes it in).
-            if (auto *d = mem::EventQueue::deferTarget()) {
-                d->captureFabric({line_addr, node_, exclusive, false,
-                                  std::move(on_fill)});
-                return true;    // handleRequest always accepts
-            }
             return fabric_.handleRequest(node_, line_addr, exclusive,
                                          std::move(on_fill));
         }
         void
         writeback(Addr line_addr) override
         {
-            if (auto *d = mem::EventQueue::deferTarget()) {
-                d->captureFabric(
-                    {line_addr, node_, false, true, Continuation{}});
-                return;
-            }
             fabric_.handleWriteback(node_, line_addr);
         }
 
@@ -261,7 +229,6 @@ class CoherenceFabric
      *  erased, the no-tombstone case FlatAddrMap is built for. */
     FlatAddrMap<DirEntry> directory_;
     FabricStats stats_;
-    ProbeSink probeSink_;
 };
 
 } // namespace mpc::coherence

@@ -14,17 +14,10 @@
  * event nodes: after warm-up, steady-state simulation performs zero
  * heap allocations per miss (asserted by tests/test_hotpath.cc).
  *
- * Thread safety: the free lists are thread-local, matching the
- * simulator's threading model — harness::ParallelRunner runs each
- * independent simulation on one thread. Sharded stepping
- * (System::run with shards > 1) moves continuations between threads:
- * a fill callback is created on a shard worker and invoked/destroyed
- * on the replay thread, whose release() parks the block on *its* free
- * list. That migration is safe because chunk storage is immortal — a
- * process-wide store that is never freed, so a block outlives the
- * thread that allocated it. Blocks stranded on an exited worker's
- * free list are simply unreachable (bounded by the worker's high-water
- * mark), never dangling.
+ * Thread safety: the pool is thread-local, matching the simulator's
+ * threading model — harness::ParallelRunner runs each independent
+ * simulation entirely on one thread, so a continuation is always
+ * created, invoked and destroyed on the thread that allocated it.
  */
 
 #ifndef MPC_COMMON_CONTINUATION_HH
@@ -105,6 +98,7 @@ class ContinuationPool
     struct State
     {
         Block *freeList = nullptr;
+        std::vector<std::unique_ptr<Block[]>> chunks;
         Counters counters;
     };
 
@@ -118,11 +112,8 @@ class ContinuationPool
     static void
     addChunk(State &s)
     {
-        // Chunk storage is immortal (see file comment): blocks may be
-        // released on a different thread than allocated them under
-        // sharded stepping, so no thread's exit may free them. The
-        // deliberate leak is bounded by each thread's high-water mark.
-        Block *chunk = new Block[blocksPerChunk];
+        s.chunks.push_back(std::make_unique<Block[]>(blocksPerChunk));
+        Block *chunk = s.chunks.back().get();
         for (std::size_t i = 0; i < blocksPerChunk; ++i) {
             chunk[i].next = s.freeList;
             s.freeList = &chunk[i];

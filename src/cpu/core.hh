@@ -115,22 +115,6 @@ class Core
     /** True once Halt retired and all buffered stores drained. */
     bool done() const;
 
-    /**
-     * Sharded-stepping hazard inputs: the next fetch pc (index into the
-     * program; instructions within a fetch group of it may dispatch —
-     * and so arrive at a barrier or read a flag — this very tick), and
-     * whether dispatch is parked on a FlagWait (which polls shared
-     * functional memory every cycle). System::run serializes any cycle
-     * where either could interact across shards.
-     */
-    int fetchPc() const { return pc_; }
-    bool
-    blockedOnFlagWait() const
-    {
-        return dispatchBlockedSync_ &&
-               slot(blockedSyncSeq_).instr->op == kisa::Op::FlagWait;
-    }
-
     const CoreStats &stats() const { return stats_; }
     int id() const { return id_; }
 

@@ -36,7 +36,6 @@ RunManifest::toJson() const
         .field("obs", obs)
         .field("validate", validate)
         .field("samplePeriod", static_cast<std::uint64_t>(samplePeriod))
-        .field("shards", shards)
         .field("host", host);
     return w.str();
 }
@@ -121,7 +120,6 @@ commonManifest(const sys::SystemConfig &config, int procs)
     m.obs = config.obsMetrics;
     m.validate = config.validate;
     m.samplePeriod = config.samplePeriod;
-    m.shards = config.shards;
     m.host = hostString();
     return m;
 }

@@ -56,12 +56,6 @@ struct RunManifest
     bool obs = false;       ///< metrics collectors attached
     bool validate = false;  ///< validation layer attached
     Tick samplePeriod = 0;  ///< epoch sampler period (0 = off)
-    /** Host-thread shards the run stepped with (0/1 = single-thread).
-     *  Provenance only: sharded results are bit-identical to the
-     *  single-thread stepper, so — like obs/validate — shards is
-     *  deliberately NOT part of configKey() and never moves a
-     *  ResultStore content key (tests/test_store.cc asserts this). */
-    int shards = 0;
     /** Host identification ("" in artifacts that must be byte-stable
      *  across hosts, e.g. autotune cache entries). */
     std::string host;

@@ -1,6 +1,5 @@
 #include "harness/parallel.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -22,54 +21,15 @@ ParallelRunner::ParallelRunner(int threads)
 }
 
 int
-ParallelRunner::budgetThreads(int jobs_env, int shards, int hw,
-                              bool *oversubscribed)
-{
-    if (hw < 1)
-        hw = 1;
-    if (shards < 1)
-        shards = 1;
-    if (oversubscribed != nullptr)
-        *oversubscribed = false;
-    if (jobs_env >= 1) {
-        // Explicit MPC_JOBS wins, but flag the total host-thread
-        // demand (jobs × shards-per-sim) exceeding the machine.
-        if (oversubscribed != nullptr)
-            *oversubscribed = jobs_env * shards > hw;
-        return jobs_env;
-    }
-    // Unset: budget workers so that workers × shards ~ the machine.
-    return std::max(1, hw / shards);
-}
-
-int
 ParallelRunner::defaultThreads()
 {
-    int jobs_env = 0;
     if (const char *env = std::getenv("MPC_JOBS")) {
         const int n = std::atoi(env);
         if (n >= 1)
-            jobs_env = n;
-    }
-    int shards = 1;
-    if (const char *env = std::getenv("MPC_SHARDS")) {
-        const int n = std::atoi(env);
-        if (n > 1)
-            shards = n;
+            return n;
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    bool over = false;
-    const int workers = budgetThreads(
-        jobs_env, shards, hw > 0 ? static_cast<int>(hw) : 1, &over);
-    if (over) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            std::fprintf(stderr,
-                         "warning: MPC_JOBS=%d x MPC_SHARDS=%d "
-                         "oversubscribes %u hardware threads\n",
-                         jobs_env, shards, hw);
-    }
-    return workers;
+    return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 void

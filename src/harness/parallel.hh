@@ -1,18 +1,11 @@
 /**
  * @file
- * Parallel experiment scheduler. Each simulation is deterministic (a
- * sharded sim — MPC_SHARDS > 1 — uses that many host threads but stays
- * bit-identical to single-thread stepping); what runs concurrently here
- * is *independent* sims — the base/clustered runs of every figure or
- * table bench, or an ablation sweep's grid points. Results are stored
- * by job index, so output order (and therefore every bench's stdout)
- * is identical at any thread count, including 1.
- *
- * The two knobs multiply: MPC_JOBS concurrent sims × MPC_SHARDS host
- * threads each. defaultThreads() therefore budgets the worker count as
- * hardware_concurrency / shards when MPC_JOBS is unset, and warns on
- * stderr when an explicit MPC_JOBS × MPC_SHARDS oversubscribes the
- * machine.
+ * Parallel experiment scheduler. Each simulation stays single-threaded
+ * and deterministic; what runs concurrently is *independent* sims — the
+ * base/clustered runs of every figure or table bench, or an ablation
+ * sweep's grid points. Results are stored by job index, so output order
+ * (and therefore every bench's stdout) is identical at any thread
+ * count, including 1.
  */
 
 #ifndef MPC_HARNESS_PARALLEL_HH
@@ -38,8 +31,7 @@ struct RunTiming
 /**
  * A fixed pool of worker threads draining an indexed job list.
  * Thread count comes from MPC_JOBS, else std::thread::hardware_
- * concurrency divided by the per-sim shard count (see file comment).
- * With one thread, jobs run inline on the caller.
+ * concurrency. With one thread, jobs run inline on the caller.
  */
 class ParallelRunner
 {
@@ -47,21 +39,8 @@ class ParallelRunner
     /** @param threads 0 selects defaultThreads(). */
     explicit ParallelRunner(int threads = 0);
 
-    /** MPC_JOBS if set (clamped to >= 1; stderr warning when it
-     *  oversubscribes — see budgetThreads), else hardware concurrency
-     *  divided by the MPC_SHARDS per-sim thread count. */
+    /** MPC_JOBS if set (clamped to >= 1), else hardware concurrency. */
     static int defaultThreads();
-
-    /**
-     * The budgeting rule behind defaultThreads(), parameterized for
-     * tests: @p jobs_env / @p shards are the parsed MPC_JOBS (0 =
-     * unset) and MPC_SHARDS (<= 1 = single-thread sims) values and
-     * @p hw the hardware thread count. Returns the worker count; sets
-     * @p oversubscribed when an explicit jobs_env × shards exceeds hw
-     * (the caller decides whether to warn).
-     */
-    static int budgetThreads(int jobs_env, int shards, int hw,
-                             bool *oversubscribed = nullptr);
 
     int threads() const { return threads_; }
 

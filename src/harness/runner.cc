@@ -60,18 +60,6 @@ scaleConfig(sys::SystemConfig config, const workloads::Workload &workload)
                 config.samplePath = path;
         }
     }
-
-    // Sharded multiprocessor stepping: MPC_SHARDS=<k> runs k host
-    // threads per simulation (System::run clamps to the node count, so
-    // uniprocessor runs stay single-threaded). Results are bit-identical
-    // at any shard count; this is purely a host-speed knob, and — like
-    // the toggles above — it never enters configKey().
-    if (const char *env = std::getenv("MPC_SHARDS");
-        env != nullptr && env[0] != '\0') {
-        const long long shards = std::atoll(env);
-        if (shards > 0)
-            config.shards = static_cast<int>(std::min(shards, 64ll));
-    }
     return config;
 }
 
@@ -123,59 +111,6 @@ makePipeline(const std::string &spec, const workloads::Workload &workload,
         fatal("unknown IR dump mode '%s' (expected 'after-each-pass')",
               run_spec.dumpIr.c_str());
     return pipeline;
-}
-
-/**
- * Replay the per-pass wall times as spans on a dedicated compiler
- * track (microsecond pseudo-ticks starting at 0), so an MPC_TRACE
- * timeline shows what the transformation pipeline did before the
- * simulated execution. Names come from the registry so the tracer
- * only ever sees process-lifetime strings.
- */
-void
-replayCompilerTrace(sys::System &system, const transform::DriverReport &report)
-{
-    if (obs::Observer *observer = system.observer()) {
-        if (obs::Tracer *tracer = observer->tracer();
-            tracer != nullptr && !report.passes.empty()) {
-            tracer->setTrackName(kCompilerTrack, "compiler passes");
-            // String literals: the tracer keeps event-name pointers.
-            const std::string &vt = report.verifyTier;
-            const char *verify_name =
-                vt == "threaded"    ? "verify/threaded"
-                : vt == "interp"    ? "verify/interp"
-                : vt == "evaluator" ? "verify/evaluator"
-                                    : nullptr;
-            Tick now = 0;
-            if (verify_name != nullptr &&
-                report.refChecksumMs > 0.0) {
-                const Tick dur = std::max<Tick>(
-                    1, static_cast<Tick>(report.refChecksumMs *
-                                         1000.0));
-                tracer->span(now, now + dur, kCompilerTrack,
-                             verify_name);
-                now += dur;
-            }
-            for (const auto &pass : report.passes) {
-                const Tick dur = std::max<Tick>(
-                    1, static_cast<Tick>(pass.wallMs * 1000.0));
-                tracer->span(now, now + dur, kCompilerTrack,
-                             transform::PassRegistry::instance()
-                                 .stableName(pass.pass),
-                             static_cast<std::uint64_t>(pass.actions),
-                             pass.skipped ? 1 : 0);
-                now += dur;
-                if (verify_name != nullptr && pass.verifyMs > 0.0) {
-                    const Tick vdur = std::max<Tick>(
-                        1,
-                        static_cast<Tick>(pass.verifyMs * 1000.0));
-                    tracer->span(now, now + vdur, kCompilerTrack,
-                                 verify_name);
-                    now += vdur;
-                }
-            }
-        }
-    }
 }
 
 } // namespace
@@ -281,57 +216,80 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
 
     const int procs = std::max(spec.procs, 1);
 
+    // Provenance for every artifact this run emits: built from the
+    // final (transformed) kernel text and the scaled, env-applied
+    // configuration, and handed to the System before construction so
+    // the sampler's time-series JSON can embed it.
+    out.manifestJson =
+        makeRunManifest(workload.name, out.kernelText, config, procs,
+                        spec_string)
+            .toJson();
+    config.manifestJson = out.manifestJson;
+
     std::set<std::uint32_t> leading;
     for (int ref_id : out.report.leadingRefIds)
         leading.insert(static_cast<std::uint32_t>(ref_id));
+    auto programs = codegen::lowerForCores(kernel, procs,
+                                           transforming, leading);
 
-    // The simulation tail, parameterized by the final configuration:
-    // a sharded run that throws ShardRestart (a same-cycle sharing
-    // pattern sharded stepping cannot reproduce bit-identically) is
-    // rebuilt from scratch — fresh image, programs, System — and rerun
-    // single-threaded, which is always exact.
-    auto simulate = [&](sys::SystemConfig cfg) {
-        // Provenance for every artifact this run emits: built from the
-        // final (transformed) kernel text and the scaled, env-applied
-        // configuration — including the shard count actually used —
-        // and handed to the System before construction so the
-        // sampler's time-series JSON can embed it.
-        out.manifestJson = makeRunManifest(workload.name,
-                                           out.kernelText, cfg, procs,
-                                           spec_string)
-                               .toJson();
-        cfg.manifestJson = out.manifestJson;
+    kisa::MemoryImage image;
+    workload.init(image);
 
-        auto programs = codegen::lowerForCores(kernel, procs,
-                                               transforming, leading);
+    coherence::PlacementPolicy placement(procs,
+                                         config.fabric.lineBytes);
+    if (workload.place)
+        workload.place(placement);
 
-        kisa::MemoryImage image;
-        workload.init(image);
+    sys::System system(config, std::move(programs), image, &placement);
 
-        coherence::PlacementPolicy placement(procs,
-                                             cfg.fabric.lineBytes);
-        if (workload.place)
-            workload.place(placement);
-
-        sys::System system(cfg, std::move(programs), image, &placement);
-        replayCompilerTrace(system, out.report);
-        out.result = system.run(spec.maxCycles);
-    };
-
-    if (config.shards > 1) {
-        try {
-            simulate(config);
-        } catch (const sys::ShardRestart &e) {
-            std::fprintf(stderr, "mpc: %s (%s%s/%dp)\n", e.what(),
-                         workload.name.c_str(),
-                         spec.clustered ? "/clust" : "/base", procs);
-            sys::SystemConfig serial = config;
-            serial.shards = 0;
-            simulate(serial);
+    // Replay the per-pass wall times as spans on a dedicated compiler
+    // track (microsecond pseudo-ticks starting at 0), so an MPC_TRACE
+    // timeline shows what the transformation pipeline did before the
+    // simulated execution. Names come from the registry so the tracer
+    // only ever sees process-lifetime strings.
+    if (obs::Observer *observer = system.observer()) {
+        if (obs::Tracer *tracer = observer->tracer();
+            tracer != nullptr && !out.report.passes.empty()) {
+            tracer->setTrackName(kCompilerTrack, "compiler passes");
+            // String literals: the tracer keeps event-name pointers.
+            const std::string &vt = out.report.verifyTier;
+            const char *verify_name =
+                vt == "threaded"    ? "verify/threaded"
+                : vt == "interp"    ? "verify/interp"
+                : vt == "evaluator" ? "verify/evaluator"
+                                    : nullptr;
+            Tick now = 0;
+            if (verify_name != nullptr &&
+                out.report.refChecksumMs > 0.0) {
+                const Tick dur = std::max<Tick>(
+                    1, static_cast<Tick>(out.report.refChecksumMs *
+                                         1000.0));
+                tracer->span(now, now + dur, kCompilerTrack,
+                             verify_name);
+                now += dur;
+            }
+            for (const auto &pass : out.report.passes) {
+                const Tick dur = std::max<Tick>(
+                    1, static_cast<Tick>(pass.wallMs * 1000.0));
+                tracer->span(now, now + dur, kCompilerTrack,
+                             transform::PassRegistry::instance()
+                                 .stableName(pass.pass),
+                             static_cast<std::uint64_t>(pass.actions),
+                             pass.skipped ? 1 : 0);
+                now += dur;
+                if (verify_name != nullptr && pass.verifyMs > 0.0) {
+                    const Tick vdur = std::max<Tick>(
+                        1,
+                        static_cast<Tick>(pass.verifyMs * 1000.0));
+                    tracer->span(now, now + vdur, kCompilerTrack,
+                                 verify_name);
+                    now += vdur;
+                }
+            }
         }
-    } else {
-        simulate(config);
     }
+
+    out.result = system.run(spec.maxCycles);
     return out;
 }
 

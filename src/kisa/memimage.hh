@@ -3,29 +3,13 @@
  * Sparse 64-bit-word memory image. Serves as the functional backing
  * store for both the interpreter and the timing simulator (the timing
  * model tracks *when* data moves; the image tracks *what* the data is).
- *
- * Concurrency: by default every access assumes a single thread (the
- * historical model — one simulation per host thread). Sharded stepping
- * runs core ticks for different nodes on different host threads
- * against the shared image, so System::run enables concurrent mode for
- * the duration of the run: accesses then go through a per-thread
- * direct-mapped cache of page-word pointers (pages never move once
- * created), and only page *creation* takes the image mutex. Word reads
- * and writes are plain — simulated programs separate cross-core
- * accesses to the same word by barriers or flag waits, which the
- * sharded stepper serializes, and the barrier between phases orders
- * everything else. The one observable difference in concurrent mode is
- * residency: a load of an absent page materializes it (reading zeros
- * either way), so numPages() can exceed the serial count.
  */
 
 #ifndef MPC_KISA_MEMIMAGE_HH
 #define MPC_KISA_MEMIMAGE_HH
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -44,14 +28,10 @@ class MemoryImage
     static constexpr Addr pageBytes = 1 << 16;
     static constexpr size_t wordsPerPage = pageBytes / 8;
 
-    MemoryImage() : nonce_(nextNonce()) {}
-
     /** Read a 64-bit word. */
     std::uint64_t
     ld64(Addr addr) const
     {
-        if (concurrent_)
-            return cachedWords(addr)[(addr % pageBytes) / 8];
         const auto it = pages_.find(addr / pageBytes);
         if (it == pages_.end())
             return 0;
@@ -62,10 +42,6 @@ class MemoryImage
     void
     st64(Addr addr, std::uint64_t value)
     {
-        if (concurrent_) {
-            cachedWords(addr)[(addr % pageBytes) / 8] = value;
-            return;
-        }
         page(addr)[(addr % pageBytes) / 8] = value;
     }
 
@@ -93,18 +69,9 @@ class MemoryImage
      */
     std::uint64_t *pageWords(Addr addr) { return page(addr).data(); }
 
-    /**
-     * Toggle multi-threaded access mode (see file comment). Flip only
-     * while no other thread is touching the image; the sharded stepper
-     * sets it before spawning shard workers and clears it after they
-     * join.
-     */
-    void setConcurrent(bool on) { concurrent_ = on; }
-    bool concurrent() const { return concurrent_; }
-
   private:
     std::vector<std::uint64_t> &
-    page(Addr addr) const
+    page(Addr addr)
     {
         auto &p = pages_[addr / pageBytes];
         if (p.empty())
@@ -112,49 +79,7 @@ class MemoryImage
         return p;
     }
 
-    /** Distinguishes image instances that reuse an address, so a
-     *  thread-local cache entry can never hit a dead image's pages. */
-    static std::uint64_t
-    nextNonce()
-    {
-        static std::atomic<std::uint64_t> counter{1};
-        return counter.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /**
-     * Concurrent-mode page lookup: a per-thread direct-mapped cache of
-     * (image nonce, page index) -> word pointer. Hits are lock-free;
-     * a miss takes the image mutex to find-or-create the page. Page
-     * vectors never move after creation, so cached pointers stay valid
-     * for the image's lifetime.
-     */
-    std::uint64_t *
-    cachedWords(Addr addr) const
-    {
-        struct Entry
-        {
-            std::uint64_t nonce = 0;
-            Addr pageIdx = 0;
-            std::uint64_t *words = nullptr;
-        };
-        static constexpr size_t cacheSlots = 64;
-        thread_local Entry cache[cacheSlots];
-
-        const Addr page_idx = addr / pageBytes;
-        Entry &e = cache[(page_idx ^ (nonce_ * 0x9e3779b97f4a7c15ull)) %
-                         cacheSlots];
-        if (e.nonce == nonce_ && e.pageIdx == page_idx)
-            return e.words;
-        std::lock_guard<std::mutex> guard(mu_);
-        std::uint64_t *words = page(addr).data();
-        e = {nonce_, page_idx, words};
-        return words;
-    }
-
-    mutable std::unordered_map<Addr, std::vector<std::uint64_t>> pages_;
-    mutable std::mutex mu_;
-    std::uint64_t nonce_;
-    bool concurrent_ = false;
+    std::unordered_map<Addr, std::vector<std::uint64_t>> pages_;
 };
 
 } // namespace mpc::kisa

@@ -17,18 +17,6 @@
  * the wheel horizon when scheduled, and since simulated time is
  * monotonic, every heap event for a tick was scheduled before (has a
  * lower sequence number than) every wheel event for that tick.
- *
- * Sharded stepping (System::run with SystemConfig::shards > 1) adds a
- * deferred-capture lane: while a shard worker ticks its cores, every
- * schedule() lands in the worker's DeferBuffer — a bounded SPSC
- * mailbox — instead of the shared wheel, and coherence-fabric calls are
- * captured alongside as DeferredFabricOp records in the same stream.
- * At the barrier after the parallel phase, thread 0 replays the
- * buffers in shard (= node) order, assigning global sequence numbers
- * exactly as the single-thread stepper would have and executing fabric
- * ops against the shared directory. The global tie-break order is
- * therefore (tick, node id, per-node capture order), and the queue's
- * own contents never need cross-thread synchronization.
  */
 
 #ifndef MPC_MEM_EVENTQ_HH
@@ -46,29 +34,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/continuation.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 #include "obs/registry.hh"
 
 namespace mpc::mem
 {
-
-/**
- * A coherence-fabric call captured during a shard's parallel phase and
- * replayed serially at the barrier (see file comment). The fill
- * continuation travels by move; it is created on the shard thread and
- * invoked/destroyed on the replaying thread, which the continuation
- * pool's immortal chunk store makes safe.
- */
-struct DeferredFabricOp
-{
-    Addr lineAddr = 0;
-    std::int32_t node = 0;
-    bool exclusive = false;
-    bool writeback = false;
-    Continuation fill;
-};
 
 /**
  * Time-ordered event queue; see the file comment for the design.
@@ -79,8 +50,6 @@ class EventQueue
     /** Boxed callback type used when a callable exceeds the inline
      *  buffer (and accepted directly from legacy callers). */
     using Callback = std::function<void()>;
-
-    class DeferBuffer;
 
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
@@ -101,24 +70,29 @@ class EventQueue
     /** Current simulated time (last tick run). */
     Tick now() const { return now_; }
 
-    /** Schedule @p fn at absolute tick @p when (>= now). During a
-     *  sharded parallel phase (deferTarget() set on this thread) the
-     *  event is captured in the thread's mailbox instead and enters
-     *  the queue at the barrier replay. */
+    /** Schedule @p fn at absolute tick @p when (>= now). */
     template <typename F>
     void
     schedule(Tick when, F fn)
     {
         MPC_ASSERT(when >= now_, "event scheduled in the past");
-        if (DeferBuffer *d = tlsDefer_) {
-            d->capture(when, std::move(fn));
-            return;
-        }
         Node *n = allocNode();
         n->when = when;
         n->seq = seq_++;
         n->next = nullptr;
-        fillCallback(n, std::move(fn));
+        if constexpr (sizeof(F) <= inlineBytes &&
+                      alignof(F) <= alignof(std::max_align_t)) {
+            new (n->storage) F(std::move(fn));
+            n->run = &runAs<F>;
+            n->destroy = std::is_trivially_destructible_v<F>
+                             ? nullptr
+                             : &destroyAs<F>;
+        } else {
+            // Oversized capture: box it (the one heap-allocating path).
+            new (n->storage) Callback(std::move(fn));
+            n->run = &runAs<Callback>;
+            n->destroy = &destroyAs<Callback>;
+        }
         insert(n);
     }
 
@@ -194,37 +168,8 @@ class EventQueue
         Node *next = nullptr;
         void (*run)(void *) = nullptr;
         void (*destroy)(void *) = nullptr;
-        /** 0 = queue-owned; k+1 = owned by registered defer pool k. */
-        std::uint16_t owner = 0;
-        /** kSchedule: storage is a callback. kFabric: storage is a
-         *  DeferredFabricOp executed (not scheduled) at replay. */
-        std::uint8_t kind = 0;
         alignas(std::max_align_t) unsigned char storage[inlineBytes];
     };
-
-    static constexpr std::uint8_t kSchedule = 0;
-    static constexpr std::uint8_t kFabric = 1;
-
-    /** Placement-construct @p fn as node @p n's callback. */
-    template <typename F>
-    static void
-    fillCallback(Node *n, F fn)
-    {
-        n->kind = kSchedule;
-        if constexpr (sizeof(F) <= inlineBytes &&
-                      alignof(F) <= alignof(std::max_align_t)) {
-            new (n->storage) F(std::move(fn));
-            n->run = &runAs<F>;
-            n->destroy = std::is_trivially_destructible_v<F>
-                             ? nullptr
-                             : &destroyAs<F>;
-        } else {
-            // Oversized capture: box it (the one heap-allocating path).
-            new (n->storage) Callback(std::move(fn));
-            n->run = &runAs<Callback>;
-            n->destroy = &destroyAs<Callback>;
-        }
-    }
 
     struct Slot
     {
@@ -272,14 +217,6 @@ class EventQueue
     void
     freeNode(Node *n)
     {
-        if (n->owner != 0) {
-            // Shard-mailbox node: recycle into its owning pool. Only
-            // the replay/drain thread frees nodes, and the owning
-            // shard allocates only between barriers, so the pool's
-            // free list never sees concurrent access.
-            deferPools_[n->owner - 1]->freeNode(n);
-            return;
-        }
         n->next = freeList_;
         freeList_ = n;
     }
@@ -376,193 +313,6 @@ class EventQueue
 
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
-
-    std::vector<DeferBuffer *> deferPools_;
-
-    static inline thread_local DeferBuffer *tlsDefer_ = nullptr;
-
-  public:
-    /**
-     * Bounded SPSC mailbox of one shard: events and fabric calls
-     * captured during the shard's parallel phase, in per-node program
-     * order, replayed by thread 0 at the barrier. `capacity` nodes are
-     * pre-allocated; exceeding it is not an error — the buffer grows a
-     * spill chunk and counts the overflow, since captured work can only
-     * drain at the next barrier (a hard-bounded ring would deadlock the
-     * phase). The high-water mark and overflow count feed the
-     * backpressure tests and let callers size the fast path.
-     */
-    class DeferBuffer
-    {
-      public:
-        struct Counters
-        {
-            std::uint64_t captured = 0;   ///< events + fabric ops ever
-            std::uint64_t fabricOps = 0;  ///< fabric calls among them
-            std::uint64_t highWater = 0;  ///< max pending at a barrier
-            std::uint64_t overflows = 0;  ///< captures past capacity
-        };
-
-        explicit DeferBuffer(std::size_t capacity = 4096)
-            : capacity_(capacity == 0 ? 1 : capacity)
-        {
-            grow(capacity_);
-        }
-
-        DeferBuffer(const DeferBuffer &) = delete;
-        DeferBuffer &operator=(const DeferBuffer &) = delete;
-
-        ~DeferBuffer()
-        {
-            for (Node *n = head_; n != nullptr; n = n->next)
-                if (n->destroy != nullptr)
-                    n->destroy(n->storage);
-        }
-
-        /** Capture a schedule() made during the parallel phase. */
-        template <typename F>
-        void
-        capture(Tick when, F fn)
-        {
-            Node *n = alloc();
-            n->when = when;
-            fillCallback(n, std::move(fn));
-            append(n);
-        }
-
-        /** Capture a coherence-fabric call (executed at replay). */
-        void
-        captureFabric(DeferredFabricOp op)
-        {
-            static_assert(sizeof(DeferredFabricOp) <= inlineBytes &&
-                              alignof(DeferredFabricOp) <=
-                                  alignof(std::max_align_t),
-                          "DeferredFabricOp must fit a node's inline "
-                          "callback buffer");
-            Node *n = alloc();
-            n->when = 0;
-            n->kind = kFabric;
-            n->run = nullptr;
-            n->destroy = &destroyAs<DeferredFabricOp>;
-            new (n->storage) DeferredFabricOp(std::move(op));
-            ++counters_.fabricOps;
-            append(n);
-        }
-
-        bool pending() const { return head_ != nullptr; }
-        const Counters &counters() const { return counters_; }
-
-      private:
-        friend class EventQueue;
-
-        void
-        grow(std::size_t nodes)
-        {
-            chunks_.push_back(std::make_unique<Node[]>(nodes));
-            Node *chunk = chunks_.back().get();
-            for (std::size_t i = 0; i < nodes; ++i) {
-                chunk[i].next = freeList_;
-                freeList_ = &chunk[i];
-            }
-        }
-
-        Node *
-        alloc()
-        {
-            if (freeList_ == nullptr) {
-                // Past capacity with the drain still a barrier away:
-                // spill (correctness first), but count it so the
-                // backpressure tests and tuning can see it.
-                ++counters_.overflows;
-                grow(capacity_);
-            }
-            Node *n = freeList_;
-            freeList_ = n->next;
-            return n;
-        }
-
-        void
-        append(Node *n)
-        {
-            n->owner = owner_;
-            n->next = nullptr;
-            if (head_ == nullptr)
-                head_ = tail_ = n;
-            else {
-                tail_->next = n;
-                tail_ = n;
-            }
-            ++counters_.captured;
-            ++pendingCount_;
-            if (pendingCount_ > counters_.highWater)
-                counters_.highWater = pendingCount_;
-        }
-
-        void
-        freeNode(Node *n)
-        {
-            n->next = freeList_;
-            freeList_ = n;
-        }
-
-        std::size_t capacity_;
-        std::vector<std::unique_ptr<Node[]>> chunks_;
-        Node *freeList_ = nullptr;
-        Node *head_ = nullptr;
-        Node *tail_ = nullptr;
-        std::uint64_t pendingCount_ = 0;
-        std::uint16_t owner_ = 0;   ///< set by registerDeferPool
-        Counters counters_;
-    };
-
-    /** Register @p b so its nodes can round-trip through the queue and
-     *  return to its free list. Call once per buffer, before use. */
-    void
-    registerDeferPool(DeferBuffer *b)
-    {
-        deferPools_.push_back(b);
-        MPC_ASSERT(deferPools_.size() <= 0xfffe, "too many defer pools");
-        b->owner_ = static_cast<std::uint16_t>(deferPools_.size());
-    }
-
-    /** This thread's active capture mailbox (null = schedule directly,
-     *  the default). Shard workers set it around their tick phase. */
-    static DeferBuffer *deferTarget() { return tlsDefer_; }
-    static void setDeferTarget(DeferBuffer *d) { tlsDefer_ = d; }
-
-    /**
-     * Replay @p b's captured stream in capture order: schedules get the
-     * next global sequence numbers (exactly as the single-thread
-     * stepper would have assigned them) and enter the queue; fabric ops
-     * are handed to @p on_fabric for serial execution against the
-     * shared directory. Calling thread must have no defer target set.
-     */
-    template <typename OnFabric>
-    void
-    replay(DeferBuffer &b, OnFabric &&on_fabric)
-    {
-        MPC_ASSERT(tlsDefer_ == nullptr,
-                   "replay with a defer target active");
-        Node *n = b.head_;
-        b.head_ = b.tail_ = nullptr;
-        b.pendingCount_ = 0;
-        while (n != nullptr) {
-            Node *next = n->next;
-            if (n->kind == kFabric) {
-                auto *op = std::launder(
-                    reinterpret_cast<DeferredFabricOp *>(n->storage));
-                on_fabric(*op);
-                op->~DeferredFabricOp();
-                n->destroy = nullptr;
-                b.freeNode(n);
-            } else {
-                n->seq = seq_++;
-                n->next = nullptr;
-                insert(n);
-            }
-            n = next;
-        }
-    }
 };
 
 /**

@@ -34,16 +34,12 @@ Cache::Status
 MemHierarchy::load(Addr addr, std::uint32_t ref_id, CompletionFn done,
                    AccessInfo *info)
 {
-    if (touchRecord_ && EventQueue::deferTarget() != nullptr)
-        touched_.push_back(addr);
     return l1_->loadAccess(addr, ref_id, std::move(done), info);
 }
 
 Cache::Status
 MemHierarchy::store(Addr addr, std::uint32_t ref_id, CompletionFn done)
 {
-    if (touchRecord_ && EventQueue::deferTarget() != nullptr)
-        touched_.push_back(addr);
     // Write-through around the L1: stores are performed at the L2 (the
     // write-allocate level whose MSHRs reads and writes share). In the
     // single-level configuration the same cache serves both.

@@ -10,7 +10,6 @@
 #define MPC_MEM_HIERARCHY_HH
 
 #include <memory>
-#include <vector>
 
 #include "mem/cache.hh"
 #include "mem/config.hh"
@@ -60,34 +59,6 @@ class MemHierarchy
 
     void finalizeStats(Tick now);
 
-    /**
-     * Sharded-stepper conflict tracking. With recording armed, every
-     * CPU-side load/store address issued *during a parallel core-tick
-     * phase* (EventQueue::deferTarget() set on the issuing thread —
-     * serial cycles record nothing) is appended to a per-node list;
-     * the stepper clears the list each parallel cycle and queries it
-     * at barrier replay to detect a coherence probe of a line this
-     * node touched in the same cycle. See System::runLoopSharded.
-     */
-    void
-    setTouchRecording(bool on)
-    {
-        touchRecord_ = on;
-        touched_.clear();
-    }
-    void clearTouched() { touched_.clear(); }
-    /** Any recorded access on @p line_addr's line (@p line_bytes
-     *  granularity) since the last clear? */
-    bool
-    touchedLine(Addr line_addr, int line_bytes) const
-    {
-        const Addr line = line_addr / static_cast<Addr>(line_bytes);
-        for (const Addr a : touched_)
-            if (a / static_cast<Addr>(line_bytes) == line)
-                return true;
-        return false;
-    }
-
   private:
     /** Adapter presenting the L2 as the L1's downstream port. */
     class L1Below : public DownstreamPort
@@ -130,8 +101,6 @@ class MemHierarchy
     std::unique_ptr<Cache> l2Cache_;
     std::unique_ptr<L1Below> l1Below_;
     Cache *lowest_ = nullptr;
-    std::vector<Addr> touched_;
-    bool touchRecord_ = false;
 };
 
 } // namespace mpc::mem

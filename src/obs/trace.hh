@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -108,16 +107,6 @@ class Tracer
     std::size_t capacity() const { return ring_.size(); }
 
     /**
-     * Serialize recording for multi-threaded producers (the sharded
-     * stepper's parallel core phase). Ring *slot* order for same-tick
-     * events from different shards then depends on lock acquisition
-     * order, so a trace dump is not byte-stable across sharded runs;
-     * the dump's timestamp sort keeps it semantically equivalent.
-     * Simulation results are never derived from the trace.
-     */
-    void setConcurrent(bool on) { concurrent_ = on; }
-
-    /**
      * Write the retained events as a chrome://tracing JSON document,
      * sorted by timestamp (ties keep recording order). @return false on
      * I/O error.
@@ -128,12 +117,6 @@ class Tracer
     void
     push(TraceEvent e)
     {
-        if (concurrent_) {
-            std::lock_guard<std::mutex> guard(mu_);
-            ring_[count_ % ring_.size()] = e;
-            ++count_;
-            return;
-        }
         ring_[count_ % ring_.size()] = e;
         ++count_;
     }
@@ -141,8 +124,6 @@ class Tracer
     std::vector<TraceEvent> ring_;
     std::uint64_t count_ = 0;
     std::map<int, std::string> trackNames_;
-    std::mutex mu_;
-    bool concurrent_ = false;
 };
 
 } // namespace mpc::obs

@@ -54,24 +54,6 @@ struct SystemConfig
     bool skipAhead = true;
 
     /**
-     * Host-thread shards for multiprocessor stepping (0 or 1 = the
-     * single-thread stepper). With k > 1, nodes are partitioned into k
-     * contiguous shards whose core ticks run on k host threads per
-     * stepped cycle; events and coherence traffic drain serially at
-     * barrier epochs in a fixed (tick, node id, sequence) order, so
-     * results are deterministic and match the single-thread stepper in
-     * both step modes (INTERNALS.md §16). Clamped to the node count.
-     * Enabled by MPC_SHARDS=<k> through the harness; see also
-     * `shardMailboxCapacity`.
-     */
-    int shards = 0;
-
-    /** Pre-allocated capacity (captured events + fabric ops) of each
-     *  shard's barrier mailbox; overflow spills and is counted, never
-     *  dropped. Tests shrink this to exercise the spill path. */
-    int shardMailboxCapacity = 4096;
-
-    /**
      * Opt-in validation layer (src/validate): golden-model retirement
      * cross-check, structural cache/MSHR/directory audits, and progress
      * watchdogs. All checks are read-only, so enabling validation never

@@ -159,13 +159,16 @@ System::System(const SystemConfig &cfg,
     }
 }
 
-void
-System::runLoopSerial(Tick max_cycles)
+RunResult
+System::run(Tick max_cycles)
 {
+    const int n = numCores();
     const bool skip = cfg_.skipAhead;
     obs::Sampler *const sampler =
         observer_ ? observer_->sampler() : nullptr;
     Tick cycle = eq_.now();
+    if (sampler != nullptr)
+        sampler->begin(cycle);
     for (;;) {
         bool all_done = true;
         for (auto &core : cores_) {
@@ -224,210 +227,6 @@ System::runLoopSerial(Tick max_cycles)
             ++cycle;
         }
     }
-}
-
-void
-System::runLoopSharded(Tick max_cycles, int shards)
-{
-    const int n = numCores();
-    const bool skip = cfg_.skipAhead;
-    obs::Sampler *const sampler =
-        observer_ ? observer_->sampler() : nullptr;
-
-    // Static sync-reachability tables (shard.hh): a stepped cycle is a
-    // sync hazard — and runs the plain serial tick loop — when any
-    // ticking core is parked on a FlagWait (it polls shared functional
-    // memory) or could dispatch a Barrier/FlagWait within this tick's
-    // fetch group (arrivals release other cores synchronously). All
-    // other cross-core interaction is captured in the shard mailboxes
-    // and replayed at the barrier, so non-hazard cycles parallelize.
-    std::vector<std::vector<char>> syncReach;
-    syncReach.reserve(static_cast<size_t>(n));
-    for (const auto &p : programs_)
-        syncReach.push_back(syncReachability(p, cfg_.core.fetchWidth));
-
-    if (shardMail_.empty()) {
-        const auto cap = static_cast<std::size_t>(
-            std::max(1, cfg_.shardMailboxCapacity));
-        for (int s = 0; s < shards; ++s) {
-            shardMail_.push_back(
-                std::make_unique<mem::EventQueue::DeferBuffer>(cap));
-            eq_.registerDeferPool(shardMail_.back().get());
-        }
-    }
-
-    const ShardPlan plan(n, shards);
-
-    // Shared sinks the parallel phase touches go concurrent-safe for
-    // the duration of the run (both are value-neutral; see their docs).
-    image_.setConcurrent(true);
-    obs::Tracer *const tracer =
-        observer_ ? observer_->tracer() : nullptr;
-    if (tracer != nullptr)
-        tracer->setConcurrent(true);
-
-    // Conflict detection (see ShardRestart): nodes record the lines
-    // they touch during each parallel phase, and the fabric reports
-    // every probe at barrier replay; a probe of a resident line the
-    // victim touched this cycle — victim after requestor — is the one
-    // case serial stepping would have ordered differently.
-    for (auto &hier : hiers_)
-        hier->setTouchRecording(true);
-    bool replayActive = false;
-    bool conflict = false;
-    fabric_->setProbeSink([this, &replayActive, &conflict](
-                              NodeId requestor, NodeId victim,
-                              Addr line_addr, bool resident) {
-        if (!replayActive || !resident || victim <= requestor)
-            return;
-        if (hiers_[static_cast<size_t>(victim)]->touchedLine(
-                line_addr, fabric_->lineBytes()))
-            conflict = true;
-    });
-
-    Tick curCycle = 0;
-    auto tickShard = [&](int s) {
-        mem::EventQueue::setDeferTarget(
-            shardMail_[static_cast<size_t>(s)].get());
-        for (int i = plan.first(s); i < plan.first(s + 1); ++i) {
-            cpu::Core &c = *cores_[static_cast<size_t>(i)];
-            hiers_[static_cast<size_t>(i)]->clearTouched();
-            if (!skip || c.nextWake() <= curCycle)
-                c.tick();
-        }
-        mem::EventQueue::setDeferTarget(nullptr);
-    };
-    ShardGroup group(shards, tickShard);
-
-    auto fabricExec = [this](mem::DeferredFabricOp &op) {
-        mem::DownstreamPort *port = fabric_->port(op.node);
-        if (op.writeback)
-            port->writeback(op.lineAddr);
-        else
-            port->request(op.lineAddr, op.exclusive, std::move(op.fill));
-    };
-
-    Tick cycle = eq_.now();
-    for (;;) {
-        bool all_done = true;
-        for (auto &core : cores_) {
-            if (!core->done()) {
-                all_done = false;
-                break;
-            }
-        }
-        if (all_done)
-            break;
-        if (validator_ && validator_->stopRequested())
-            break;  // a watchdog fired; stop gracefully with results
-        if (cycle >= max_cycles)
-            fatal("System::run exceeded %llu cycles - deadlock or "
-                  "runaway kernel?",
-                  static_cast<unsigned long long>(max_cycles));
-        eq_.advanceTo(cycle);
-        if (sampler != nullptr)
-            sampler->maybeSample(cycle);
-
-        bool hazard = false;
-        for (int i = 0; i < n; ++i) {
-            const cpu::Core &c = *cores_[static_cast<size_t>(i)];
-            if (c.done())
-                continue;
-            if (skip && c.nextWake() > cycle)
-                continue;
-            if (c.blockedOnFlagWait()) {
-                hazard = true;
-                break;
-            }
-            const auto &reach = syncReach[static_cast<size_t>(i)];
-            const int pc = c.fetchPc();
-            if (pc >= 0 && pc < static_cast<int>(reach.size()) &&
-                reach[static_cast<size_t>(pc)]) {
-                hazard = true;
-                break;
-            }
-        }
-
-        if (hazard) {
-            // Serial tick loop: defer capture stays off, so this cycle
-            // is executed exactly as the single-thread stepper would —
-            // including same-cycle barrier releases waking later cores.
-            if (skip) {
-                for (auto &core : cores_)
-                    if (core->nextWake() <= cycle)
-                        core->tick();
-            } else {
-                for (auto &core : cores_)
-                    core->tick();
-            }
-        } else {
-            curCycle = cycle;
-            group.runPhase();
-            // Barrier replay in shard (= node) order restores the
-            // global (tick, node id, per-node program order) sequence
-            // the serial stepper produces.
-            replayActive = true;
-            for (auto &mail : shardMail_)
-                eq_.replay(*mail, fabricExec);
-            replayActive = false;
-            if (conflict) {
-                // Every captured event and fabric op has been replayed
-                // (state is consistent), but a victim core consumed
-                // pre-probe state this cycle. Restore single-thread
-                // mode and hand the run back to the harness.
-                image_.setConcurrent(false);
-                if (tracer != nullptr)
-                    tracer->setConcurrent(false);
-                fabric_->setProbeSink({});
-                for (auto &hier : hiers_)
-                    hier->setTouchRecording(false);
-                throw ShardRestart(strprintf(
-                    "sharded step conflict at cycle %llu: same-cycle "
-                    "cross-shard line sharing; rerun single-threaded",
-                    static_cast<unsigned long long>(cycle)));
-            }
-        }
-
-        if (skip) {
-            Tick next = eq_.nextEventTick();
-            for (auto &core : cores_)
-                if (!core->done())
-                    next = std::min(next, core->nextWake());
-            if (next == maxTick && validator_) {
-                validator_->onNoEvent(cycle);
-                break;
-            }
-            if (sampler != nullptr && next != maxTick)
-                next = std::min(next, sampler->nextDue());
-            cycle = next == maxTick ? max_cycles
-                                    : std::max(cycle + 1, next);
-        } else {
-            ++cycle;
-        }
-    }
-
-    image_.setConcurrent(false);
-    if (tracer != nullptr)
-        tracer->setConcurrent(false);
-    fabric_->setProbeSink({});
-    for (auto &hier : hiers_)
-        hier->setTouchRecording(false);
-}
-
-RunResult
-System::run(Tick max_cycles)
-{
-    const int n = numCores();
-    obs::Sampler *const sampler =
-        observer_ ? observer_->sampler() : nullptr;
-    if (sampler != nullptr)
-        sampler->begin(eq_.now());
-
-    const int shards = std::min(cfg_.shards, n);
-    if (shards > 1)
-        runLoopSharded(max_cycles, shards);
-    else
-        runLoopSerial(max_cycles);
 
     if (validator_)
         validator_->finalize(eq_.now());

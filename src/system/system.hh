@@ -6,20 +6,12 @@
  * (Exemplar-like). Runs a KISA program per core to completion and
  * reports the paper's execution-time breakdown plus the MSHR
  * utilization data of Figure 4.
- *
- * With SystemConfig::shards > 1 the run loop steps multiprocessor
- * cycles in sharded mode: core ticks run on one host thread per shard
- * while events and coherence traffic are captured per shard and
- * replayed serially at barrier epochs, preserving the single-thread
- * stepper's deterministic (tick, node id, sequence) order — results
- * are bit-identical at any shard count (INTERNALS.md §16).
  */
 
 #ifndef MPC_SYSTEM_SYSTEM_HH
 #define MPC_SYSTEM_SYSTEM_HH
 
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "coherence/directory.hh"
@@ -27,13 +19,11 @@
 #include "cpu/sync.hh"
 #include "kisa/memimage.hh"
 #include "kisa/program.hh"
-#include "mem/eventq.hh"
 #include "mem/hierarchy.hh"
 #include "mem/mainmem.hh"
 #include "noc/mesh.hh"
 #include "obs/obs.hh"
 #include "system/config.hh"
-#include "system/shard.hh"
 #include "validate/validate.hh"
 
 namespace mpc::sys
@@ -88,23 +78,6 @@ struct RunResult
 };
 
 /**
- * Thrown by System::run when a sharded run detects the one sharing
- * pattern it cannot step bit-identically: a coherence probe whose
- * victim node holds the line, touched it in the same stepped cycle,
- * and is ordered after the requestor (in the single-thread stepper the
- * probe would have landed between their ticks). The cycle's captured
- * work has been fully replayed before throwing, but the victim's
- * pipeline already consumed pre-probe state, so the run cannot
- * continue; the harness reruns the workload with shards disabled —
- * results are then exactly the single-thread stepper's (runner.cc).
- */
-class ShardRestart : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/**
  * A complete simulated machine.
  */
 class System
@@ -150,21 +123,9 @@ class System
     Tick now() const { return eq_.now(); }
 
   private:
-    /** The legacy single-thread step loop (shards <= 1, and the exact
-     *  semantics sharded mode must reproduce). */
-    void runLoopSerial(Tick max_cycles);
-    /** The sharded step loop; see the file comment and shard.hh. */
-    void runLoopSharded(Tick max_cycles, int shards);
-
     SystemConfig cfg_;
     std::vector<kisa::Program> programs_;
     kisa::MemoryImage &image_;
-
-    /** Shard mailboxes (sharded runs only). Declared before eq_ so they
-     *  are destroyed after it: replayed events recycle into these pools
-     *  and pool-owned nodes may still sit in the wheel when the queue
-     *  destructor walks its pending events. */
-    std::vector<std::unique_ptr<mem::EventQueue::DeferBuffer>> shardMail_;
 
     mem::EventQueue eq_;
     std::unique_ptr<cpu::SyncDevice> sync_;

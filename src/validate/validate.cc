@@ -455,7 +455,6 @@ Validator::diagnostics() const
 void
 Validator::recordFailure(Tick tick, std::string what)
 {
-    std::lock_guard<std::mutex> guard(failMu_);
     trace_.record(tick, -1, "failure",
                   static_cast<std::uint64_t>(failures_.size()));
     failures_.push_back({tick, what});

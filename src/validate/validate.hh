@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -212,9 +211,6 @@ class Validator
     std::unordered_set<std::uint64_t> inclusionSuspects_;
 
     std::vector<Failure> failures_;
-    /** recordFailure can race across shard workers under sharded
-     *  stepping (monitor hooks run on shard threads). */
-    std::mutex failMu_;
     bool stopRequested_ = false;
     bool traceDumped_ = false;
     bool started_ = false;

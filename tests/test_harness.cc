@@ -649,38 +649,5 @@ TEST(PerRefStats, ProfileAgreesWithSimulatedMissRates)
     EXPECT_GE(compared, 1);
 }
 
-TEST(ParallelBudget, DividesHardwareByShards)
-{
-    // MPC_JOBS unset: the worker budget shares the machine with the
-    // per-simulation shard threads.
-    bool over = false;
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 0, 16, &over), 16);
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 1, 16, &over), 16);
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 4, 16, &over), 4);
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 8, 16, &over), 2);
-    EXPECT_FALSE(over);
-    // Never below one worker, even when shards exceed the machine.
-    EXPECT_EQ(ParallelRunner::budgetThreads(0, 32, 16, &over), 1);
-    EXPECT_FALSE(over);
-}
-
-TEST(ParallelBudget, ExplicitJobsWinsButFlagsOversubscription)
-{
-    bool over = true;
-    EXPECT_EQ(ParallelRunner::budgetThreads(4, 4, 16, &over), 4);
-    EXPECT_FALSE(over);
-
-    // 8 jobs x 4 shard threads = 32 > 16 hardware threads.
-    EXPECT_EQ(ParallelRunner::budgetThreads(8, 4, 16, &over), 8);
-    EXPECT_TRUE(over);
-
-    // Uniprocessor sims (shards <= 1) count one thread per job.
-    over = true;
-    EXPECT_EQ(ParallelRunner::budgetThreads(8, 0, 16, &over), 8);
-    EXPECT_FALSE(over);
-    EXPECT_EQ(ParallelRunner::budgetThreads(24, 1, 16, &over), 24);
-    EXPECT_TRUE(over);
-}
-
 } // namespace
 } // namespace mpc::harness

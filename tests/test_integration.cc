@@ -39,6 +39,15 @@ struct Band
     double minPct;  ///< conservative lower bound at test scale
 };
 
+// Without this, gtest prints a Band as its raw bytes, and those hold
+// the address in `name`, which moves from run to run; the listed test
+// name (and so the ctest name) would change with every build.
+void
+PrintTo(const Band &band, std::ostream *os)
+{
+    *os << band.name << " >= " << band.minPct << "%";
+}
+
 class UniSpeedups : public ::testing::TestWithParam<Band>
 {};
 

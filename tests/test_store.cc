@@ -287,28 +287,6 @@ TEST(JobKey, EverySpecFieldFlipsTheKey)
     EXPECT_NE(key, jobKeyFor(workloads::makeFft(size), base, 1));
 }
 
-TEST(JobKey, ShardsNeverMoveTheKey)
-{
-    // Sharded stepping is bit-identical to the single-thread stepper,
-    // so — like the obs/validate toggles — the shard count is
-    // provenance, not configuration: a warm store hit must serve a
-    // result computed at any shard count.
-    const workloads::Workload w = tinyLatbench();
-    RunSpec base;
-    const std::string key = jobKeyFor(w, base, 1);
-    for (int shards : {1, 4, 64}) {
-        RunSpec spec = base;
-        spec.config.shards = shards;
-        EXPECT_EQ(jobKeyFor(w, spec, 1), key) << "shards=" << shards;
-        EXPECT_EQ(configKey(spec.config, 1), configKey(base.config, 1));
-    }
-    // ...but it does land in the manifest, as provenance.
-    base.config.shards = 4;
-    const RunManifest m =
-        makeRunManifest("latbench", "", base.config, 1, "none");
-    EXPECT_NE(m.toJson().find("\"shards\": 4"), std::string::npos);
-}
-
 // ---------------------------------------------------------------------
 // JobResult serialization.
 
@@ -367,6 +345,27 @@ TEST(JobResultJson, RoundTripPreservesCountersAndHistograms)
     // Serialize-parse-serialize is a fixed point.
     EXPECT_EQ(back.toJson(), r.toJson());
     EXPECT_FALSE(JobResult::fromJson("{\"schema\": \"nope\"}", back));
+}
+
+TEST(JobResultJson, ManifestWithRetiredFieldStillParses)
+{
+    // Entries written before a manifest field was retired (e.g. the
+    // host-thread "shards" count) must keep serving as hits.
+    JobResult r;
+    r.ok = true;
+    r.result.cycles = 4242;
+    r.manifestJson =
+        makeRunManifest("latbench", "kernel-text", sys::baseConfig(), 1,
+                        "")
+            .toJson();
+    JobResult old = r;
+    old.manifestJson.insert(old.manifestJson.find('{') + 1,
+                            "\"shards\": 4, ");
+
+    JobResult back;
+    ASSERT_TRUE(JobResult::fromJson(old.toJson(), back));
+    EXPECT_EQ(back.result.cycles, r.result.cycles);
+    EXPECT_EQ(back.manifestJson, r.manifestJson);
 }
 
 TEST(JobResultJson, FailedResultCarriesTheError)

@@ -12,11 +12,8 @@
  *                    skipped; "-" reads the stream from stdin
  *   --store DIR      ResultStore directory (default: $MPC_STORE;
  *                    required one way or the other)
- *   --workers N      worker processes (default: MPC_JOBS, else
- *                    hardware concurrency divided by MPC_SHARDS so
- *                    sharded sims don't oversubscribe the host; an
- *                    explicit MPC_JOBS x MPC_SHARDS > hardware prints
- *                    a warning)
+ *   --workers N      worker processes (default: MPC_JOBS or hardware
+ *                    concurrency)
  *   --timeout SEC    per-job wall-clock timeout; overruns are killed
  *                    and count as a failed attempt (default: none)
  *   --retries N      re-dispatches after a failed attempt before the

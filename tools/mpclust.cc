@@ -10,9 +10,6 @@
  *
  *   --scale N        input scale 1..3 (default 2)
  *   --procs N        processor count (default: workload's, or 1)
- *   --shards K       step the simulation on K host threads (or set
- *                    MPC_SHARDS; results are bit-identical to the
- *                    single-thread stepper at any K)
  *   --config NAME    base | 1ghz | exemplar (default base)
  *   --base-only      run only the untransformed version
  *   --clust-only     run only the clustered version
@@ -35,12 +32,19 @@
  *   --trace PATH     dump a Chrome-trace JSON per run (PATH is
  *                    uniquified per workload/variant/procs)
  *   --list           list workloads and exit
+ *   --help, -h       print the usage to stdout and exit
+ *
+ * Numeric options are parsed strictly. An unknown option, a missing or
+ * malformed value, or an unknown workload prints a message naming it
+ * and the usage to stderr, and exits with status 2.
  *
  * With both a base and a clustered run, also prints the model-vs-
  * measured table: predicted per-nest f (Equations 1-4) next to the
  * measured MLP of each run.
  */
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,21 +64,49 @@ using namespace mpc;
 namespace
 {
 
-[[noreturn]] void
-usage(const char *argv0)
+void
+printUsage(std::FILE *out, const char *argv0)
 {
-    std::fprintf(stderr,
-                 "usage: %s <workload> [--scale N] [--procs N] [--shards K] "
+    std::fprintf(out,
+                 "usage: %s <workload> [--scale N] [--procs N] "
                  "[--config base|1ghz|exemplar]\n"
                  "       [--base-only|--clust-only] [--prefetch N] "
                  "[--max-unroll N]\n"
                  "       [--pipeline SPEC] [--dump-ir after-each-pass] "
                  "[--exec-tier interp|threaded]\n"
-                 "       [--show-kernel] [--show-mshr] "
+                 "       [--show-kernel] [--show-refs] [--show-mshr] "
                  "[--show-metrics] [--trace PATH]\n"
-                 "       | --list | --list-passes\n",
+                 "       | --list | --list-passes | --help\n",
                  argv0);
+}
+
+/** Print "mpclust: @p why" and the usage to stderr, then exit 2. */
+[[noreturn]] void
+usageError(const char *argv0, const std::string &why)
+{
+    std::fprintf(stderr, "mpclust: %s\n", why.c_str());
+    printUsage(stderr, argv0);
     std::exit(2);
+}
+
+/** The value of integer option @p flag: all of @p text, within
+ *  [@p lo, @p hi]; anything else is a usage error naming the value. */
+int
+intArg(const char *argv0, const std::string &flag, const char *text,
+       int lo, int hi = INT_MAX)
+{
+    char *end = nullptr;
+    errno = 0;
+    const long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < lo ||
+        v > hi) {
+        const std::string range =
+            hi == INT_MAX ? ">= " + std::to_string(lo)
+                          : std::to_string(lo) + ".." + std::to_string(hi);
+        usageError(argv0, "bad " + flag + " '" + text +
+                              "' (expected an integer " + range + ")");
+    }
+    return static_cast<int>(v);
 }
 
 void
@@ -102,7 +134,15 @@ int
 main(int argc, char **argv)
 {
     if (argc < 2)
-        usage(argv[0]);
+        usageError(argv[0], "missing workload");
+    const auto is_help = [](const char *arg) {
+        return std::strcmp(arg, "--help") == 0 ||
+               std::strcmp(arg, "-h") == 0;
+    };
+    if (is_help(argv[1])) {
+        printUsage(stdout, argv[0]);
+        return 0;
+    }
     if (std::strcmp(argv[1], "--list-passes") == 0) {
         for (const auto &pass :
              transform::PassRegistry::instance().names())
@@ -118,11 +158,16 @@ main(int argc, char **argv)
     }
 
     const std::string name = argv[1];
+    if (name[0] == '-')
+        usageError(argv[0], "expected a workload before '" + name + "'");
+    if (!workloads::isKnownWorkload(name))
+        usageError(argv[0], "unknown workload '" + name +
+                                "' (--list shows them)");
     workloads::SizeParams size;
     size.scale = 2;
     int procs = -1;
-    int shards = 0;
     std::string config_name = "base";
+    harness::RunSpec spec;
     bool run_base = true, run_clust = true;
     int prefetch = 0;
     int max_unroll = 16;
@@ -137,25 +182,35 @@ main(int argc, char **argv)
         const std::string arg = argv[a];
         auto next = [&]() -> const char * {
             if (a + 1 >= argc)
-                usage(argv[0]);
+                usageError(argv[0], "option '" + arg + "' needs a value");
             return argv[++a];
         };
-        if (arg == "--scale")
-            size.scale = std::atoi(next());
+        if (is_help(argv[a])) {
+            printUsage(stdout, argv[0]);
+            return 0;
+        } else if (arg == "--scale")
+            size.scale = intArg(argv[0], arg, next(), 1, 3);
         else if (arg == "--procs")
-            procs = std::atoi(next());
-        else if (arg == "--shards")
-            shards = std::atoi(next());
-        else if (arg == "--config")
+            procs = intArg(argv[0], arg, next(), 1);
+        else if (arg == "--config") {
             config_name = next();
-        else if (arg == "--base-only")
+            if (config_name == "base")
+                spec.config = sys::baseConfig();
+            else if (config_name == "1ghz")
+                spec.config = sys::oneGHzConfig();
+            else if (config_name == "exemplar")
+                spec.config = sys::exemplarConfig();
+            else
+                usageError(argv[0], "bad --config '" + config_name +
+                                        "' (expected base|1ghz|exemplar)");
+        } else if (arg == "--base-only")
             run_clust = false;
         else if (arg == "--clust-only")
             run_base = false;
         else if (arg == "--prefetch")
-            prefetch = std::atoi(next());
+            prefetch = intArg(argv[0], arg, next(), 0);
         else if (arg == "--max-unroll")
-            max_unroll = std::atoi(next());
+            max_unroll = intArg(argv[0], arg, next(), 1);
         else if (arg == "--show-kernel")
             show_kernel = true;
         else if (arg == "--show-refs")
@@ -171,20 +226,16 @@ main(int argc, char **argv)
         else if (arg == "--dump-ir")
             dump_ir = next();
         else if (arg == "--exec-tier") {
-            const char *tier = next();
-            if (std::strcmp(tier, "interp") == 0)
+            const std::string tier = next();
+            if (tier == "interp")
                 exec_tier = kisa::ExecTier::Interp;
-            else if (std::strcmp(tier, "threaded") == 0)
+            else if (tier == "threaded")
                 exec_tier = kisa::ExecTier::Threaded;
-            else {
-                std::fprintf(stderr,
-                             "mpclust: bad --exec-tier '%s' (expected "
-                             "interp|threaded)\n",
-                             tier);
-                return 2;
-            }
+            else
+                usageError(argv[0], "bad --exec-tier '" + tier +
+                                        "' (expected interp|threaded)");
         } else
-            usage(argv[0]);
+            usageError(argv[0], "unknown option '" + arg + "'");
     }
 
     // Resolve the execution tier exactly once per invocation: the flag
@@ -212,18 +263,7 @@ main(int argc, char **argv)
     if (procs < 0)
         procs = std::max(w.defaultProcs, 1);
 
-    harness::RunSpec spec;
-    if (config_name == "base")
-        spec.config = sys::baseConfig();
-    else if (config_name == "1ghz")
-        spec.config = sys::oneGHzConfig();
-    else if (config_name == "exemplar")
-        spec.config = sys::exemplarConfig();
-    else
-        usage(argv[0]);
     spec.procs = procs;
-    if (shards > 0)
-        spec.config.shards = shards;
     spec.maxUnroll = max_unroll;
     spec.config.obsMetrics = show_metrics;
     spec.config.obsTracePath = trace_path;
