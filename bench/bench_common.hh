@@ -70,23 +70,23 @@ struct JsonRun
 };
 
 /**
- * Write BENCH_<bench>.json in the working directory: host cost and sim
- * rate per run, plus the bench-wide totals CI trends over time.
+ * Write @p path (BENCH_<bench>.json for the figure benches): host cost
+ * and sim rate per run, plus the bench-wide totals CI trends over time.
+ * @return false, after a warning on stderr, if @p path cannot be
+ * opened.
  */
-inline void
-writeBenchJson(const std::string &bench, const std::vector<JsonRun> &runs,
-               int threads, double total_wall_seconds,
-               const std::string &manifest_json = "")
+inline bool
+writeBenchJson(const std::string &path, const std::string &bench,
+               const std::vector<JsonRun> &runs, int threads,
+               double total_wall_seconds, const std::string &manifest_json)
 {
-    const std::string path = "BENCH_" + bench + ".json";
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-        return;
+        return false;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"manifest\": %s,\n",
-                 manifest_json.empty() ? "null" : manifest_json.c_str());
+    std::fprintf(f, "  \"manifest\": %s,\n", manifest_json.c_str());
     std::fprintf(f, "  \"bench\": \"%s\",\n", bench.c_str());
     std::fprintf(f, "  \"scale\": %d,\n", scaleFromEnv().scale);
     std::fprintf(f, "  \"stepMode\": \"%s\",\n",
@@ -105,6 +105,7 @@ writeBenchJson(const std::string &bench, const std::vector<JsonRun> &runs,
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
+    return true;
 }
 
 /** What a figure/table bench gets back from a parallel app sweep. */
@@ -210,8 +211,8 @@ reportTimings(const std::string &bench, const AppRunResults &r)
                         r.clustTimings[i].wallSeconds, clust.cycles,
                         r.clustTimings[i].cyclesPerSec});
     }
-    writeBenchJson(bench, runs, r.threads, r.totalWallSeconds,
-                   invocationManifestJson(bench, r));
+    writeBenchJson("BENCH_" + bench + ".json", bench, runs, r.threads,
+                   r.totalWallSeconds, invocationManifestJson(bench, r));
 }
 
 /**

@@ -99,33 +99,9 @@ main()
                      timed[i].clustTiming.cyclesPerSec);
 
     // SCALE64.json: the standard bench shape under its own name.
-    std::FILE *f = std::fopen("SCALE64.json", "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "warning: cannot write SCALE64.json\n");
-        return 0;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"manifest\": %s,\n",
-                 harness::makeInvocationManifest("scale64", config, 0)
-                     .toJson()
-                     .c_str());
-    std::fprintf(f, "  \"bench\": \"scale64\",\n");
-    std::fprintf(f, "  \"scale\": %d,\n", size.scale);
-    std::fprintf(f, "  \"stepMode\": \"%s\",\n",
-                 bench::referenceStepMode() ? "reference" : "skip");
-    std::fprintf(f, "  \"threads\": %d,\n", runner.threads());
-    std::fprintf(f, "  \"totalWallSeconds\": %.6f,\n", total);
-    std::fprintf(f, "  \"runs\": [\n");
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        std::fprintf(f,
-                     "    {\"label\": \"%s\", \"wallSeconds\": %.6f, "
-                     "\"simCycles\": %llu, \"cyclesPerSec\": %.1f}%s\n",
-                     runs[i].label.c_str(), runs[i].wallSeconds,
-                     static_cast<unsigned long long>(runs[i].simCycles),
-                     runs[i].cyclesPerSec,
-                     i + 1 < runs.size() ? "," : "");
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote SCALE64.json\n");
+    if (bench::writeBenchJson(
+            "SCALE64.json", "scale64", runs, runner.threads(), total,
+            harness::makeInvocationManifest("scale64", config, 0).toJson()))
+        std::printf("wrote SCALE64.json\n");
     return 0;
 }

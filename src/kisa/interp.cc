@@ -23,16 +23,14 @@ step(const Program &program, int pc, RegFile &regs, MemoryImage &mem)
     switch (in.op) {
       case Op::Nop:
         break;
-      case Op::IAdd: ir[in.rd] = ir[in.ra] + ir[in.rb]; break;
-      case Op::ISub: ir[in.rd] = ir[in.ra] - ir[in.rb]; break;
-      case Op::IMul: ir[in.rd] = ir[in.ra] * ir[in.rb]; break;
+      case Op::IAdd: ir[in.rd] = wrapAdd(ir[in.ra], ir[in.rb]); break;
+      case Op::ISub: ir[in.rd] = wrapSub(ir[in.ra], ir[in.rb]); break;
+      case Op::IMul: ir[in.rd] = wrapMul(ir[in.ra], ir[in.rb]); break;
       case Op::IDiv:
-        ir[in.rd] = in.rb != noReg && ir[in.rb] != 0
-                        ? ir[in.ra] / ir[in.rb] : 0;
+        ir[in.rd] = in.rb != noReg ? wrapDiv(ir[in.ra], ir[in.rb]) : 0;
         break;
       case Op::IRem:
-        ir[in.rd] = in.rb != noReg && ir[in.rb] != 0
-                        ? ir[in.ra] % ir[in.rb] : 0;
+        ir[in.rd] = in.rb != noReg ? wrapRem(ir[in.ra], ir[in.rb]) : 0;
         break;
       case Op::IAnd: ir[in.rd] = ir[in.ra] & ir[in.rb]; break;
       case Op::IOr: ir[in.rd] = ir[in.ra] | ir[in.rb]; break;
@@ -46,8 +44,8 @@ step(const Program &program, int pc, RegFile &regs, MemoryImage &mem)
       case Op::ICmpEq: ir[in.rd] = ir[in.ra] == ir[in.rb] ? 1 : 0; break;
       case Op::IMin: ir[in.rd] = std::min(ir[in.ra], ir[in.rb]); break;
       case Op::IMax: ir[in.rd] = std::max(ir[in.ra], ir[in.rb]); break;
-      case Op::IAddImm: ir[in.rd] = ir[in.ra] + in.imm; break;
-      case Op::IMulImm: ir[in.rd] = ir[in.ra] * in.imm; break;
+      case Op::IAddImm: ir[in.rd] = wrapAdd(ir[in.ra], in.imm); break;
+      case Op::IMulImm: ir[in.rd] = wrapMul(ir[in.ra], in.imm); break;
       case Op::IShlImm: ir[in.rd] = ir[in.ra] << (in.imm & 63); break;
       case Op::IAndImm: ir[in.rd] = ir[in.ra] & in.imm; break;
       case Op::ILoadImm: ir[in.rd] = in.imm; break;
@@ -71,7 +69,7 @@ step(const Program &program, int pc, RegFile &regs, MemoryImage &mem)
         break;
 
       case Op::Prefetch: {
-        const Addr addr = static_cast<Addr>(ir[in.ra] + in.imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[in.ra], in.imm));
         // Nonbinding: reported as a load for cache-warming observers,
         // no architectural effect.
         res.isMem = true;
@@ -80,7 +78,7 @@ step(const Program &program, int pc, RegFile &regs, MemoryImage &mem)
         break;
       }
       case Op::LdI: {
-        const Addr addr = static_cast<Addr>(ir[in.ra] + in.imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[in.ra], in.imm));
         ir[in.rd] = static_cast<std::int64_t>(mem.ld64(addr));
         res.isMem = true;
         res.isLoad = true;
@@ -88,7 +86,7 @@ step(const Program &program, int pc, RegFile &regs, MemoryImage &mem)
         break;
       }
       case Op::LdF: {
-        const Addr addr = static_cast<Addr>(ir[in.ra] + in.imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[in.ra], in.imm));
         fr[in.rd] = mem.ldF64(addr);
         res.isMem = true;
         res.isLoad = true;
@@ -96,14 +94,14 @@ step(const Program &program, int pc, RegFile &regs, MemoryImage &mem)
         break;
       }
       case Op::StI: {
-        const Addr addr = static_cast<Addr>(ir[in.ra] + in.imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[in.ra], in.imm));
         mem.st64(addr, static_cast<std::uint64_t>(ir[in.rb]));
         res.isMem = true;
         res.memAddr = addr;
         break;
       }
       case Op::StF: {
-        const Addr addr = static_cast<Addr>(ir[in.ra] + in.imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[in.ra], in.imm));
         mem.stF64(addr, fr[in.rb]);
         res.isMem = true;
         res.memAddr = addr;
@@ -139,7 +137,7 @@ step(const Program &program, int pc, RegFile &regs, MemoryImage &mem)
         res.isBarrier = true;
         break;
       case Op::FlagWait: {
-        const Addr addr = static_cast<Addr>(ir[in.ra] + in.imm);
+        const Addr addr = static_cast<Addr>(wrapAdd(ir[in.ra], in.imm));
         const auto value = static_cast<std::int64_t>(mem.ld64(addr));
         if (value < ir[in.rb]) {
             res.syncBlocked = true;

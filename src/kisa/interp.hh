@@ -29,6 +29,48 @@ struct RegFile
     double fpRegs[numFpRegs] = {};
 };
 
+/**
+ * Integer arithmetic as every execution tier defines it: 64-bit two's
+ * complement that wraps on overflow. It goes through std::uint64_t
+ * because signed overflow is undefined behaviour in C++.
+ */
+inline std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+inline std::int64_t
+wrapMul(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                     static_cast<std::uint64_t>(b));
+}
+
+/** a / b, 0 when b is 0; INT64_MIN / -1 wraps to INT64_MIN. */
+inline std::int64_t
+wrapDiv(std::int64_t a, std::int64_t b)
+{
+    if (b == 0)
+        return 0;
+    return b == -1 ? wrapSub(0, a) : a / b;
+}
+
+/** a % b, 0 when b is 0 or -1 (INT64_MIN % -1 overflows in C++). */
+inline std::int64_t
+wrapRem(std::int64_t a, std::int64_t b)
+{
+    return b == 0 || b == -1 ? 0 : a % b;
+}
+
 /** Outcome of functionally executing one instruction. */
 struct StepResult
 {

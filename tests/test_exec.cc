@@ -16,8 +16,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "kisa/exec_threaded.hh"
@@ -464,6 +466,56 @@ TEST(ExecFusion, BranchIntoMiddleOfFusedSequenceRunsUnfused)
     const ThreadedProgram tprog(prog);
     EXPECT_GE(tprog.fusedCount(), 1u);
     expectTiersAgree({prog});
+}
+
+// --- integer overflow ------------------------------------------------
+
+TEST(ExecOverflow, IntegerOpsWrapOnBothTiers)
+{
+    // KISA integers are 64-bit two's complement: an overflowing add,
+    // subtract or multiply, INT64_MIN / -1 and an effective address
+    // wrap on both tiers, also inside the fused ishli;iadd and
+    // iaddi;blt sequences.
+    constexpr std::int64_t max = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t min = std::numeric_limits<std::int64_t>::min();
+    AsmBuilder b("overflow");
+    const Reg rmax = 1, rmin = 2, neg1 = 3, two = 4, zero = 5;
+    b.iLoadImm(rmax, max);
+    b.iLoadImm(rmin, min);
+    b.iLoadImm(neg1, -1);
+    b.iLoadImm(two, 2);
+    b.iAdd(10, rmax, two);
+    b.iSub(11, rmin, two);
+    b.iMul(12, rmax, two);
+    b.iMul(13, rmin, neg1);
+    b.iDiv(14, rmin, neg1);
+    b.iRem(15, rmin, neg1);
+    b.iAddImm(16, rmax, 1);
+    b.iMulImm(17, rmin, 3);
+    b.iShlImm(18, two, 0);      // fused ishli;iadd
+    b.iAdd(19, rmax, 18);
+    b.iAddImm(20, rmax, 1);     // fused iaddi;blt, taken
+    const auto next = b.newLabel();
+    b.bLt(20, zero, next);
+    b.bind(next);
+    b.stI(rmin, -8, two);       // INT64_MIN - 8 wraps to INT64_MAX - 7
+    b.ldI(21, rmax, -7);
+    b.halt();
+    const Program prog = b.finish();
+    EXPECT_EQ(ThreadedProgram(prog).fusedCount(), 2u);
+
+    const std::pair<Reg, std::int64_t> expected[] = {
+        {10, min + 1}, {11, max - 1}, {12, -2},      {13, min},
+        {14, min},     {15, 0},       {16, min},     {17, min},
+        {19, min + 1}, {20, min},     {21, 2},
+    };
+    for (const ExecTier tier : {ExecTier::Interp, ExecTier::Threaded}) {
+        MemoryImage mem;
+        const RunResult run = runTier({prog}, mem, tier);
+        for (const auto &[reg, value] : expected)
+            EXPECT_EQ(run.regs[0].intRegs[reg], value)
+                << execTierName(tier) << " r" << reg;
+    }
 }
 
 // --- multi-core synchronization --------------------------------------

@@ -7,16 +7,22 @@
  * workload-scale counterpart of test_exec.cc's randomized fuzz: the
  * programs here come from the actual code generator, so they exercise
  * the operand patterns the superinstruction peephole was built for.
+ * The cache profiler and the default clustering pipeline, which run on
+ * the selected tier, must also give the same results on both.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "codegen/codegen.hh"
+#include "harness/profiler.hh"
 #include "ir/eval.hh"
 #include "kisa/exec_threaded.hh"
+#include "transform/pipeline.hh"
 #include "transform/transforms.hh"
 #include "workloads/workload.hh"
 
@@ -60,6 +66,78 @@ TEST_P(ExecTierWorkloads, UniprocessorBitIdenticalAcrossTiers)
         runOnTier(w, programs, kisa::ExecTier::Threaded);
     EXPECT_EQ(interp.first, threaded.first) << "instruction count";
     EXPECT_EQ(interp.second, threaded.second) << "array checksum";
+}
+
+/** What the tier-selected layers compute for one workload. */
+struct TierOutcome
+{
+    std::vector<std::uint64_t> accesses;    ///< per profiled refId
+    std::vector<double> missRates;          ///< per profiled refId
+    std::uint64_t clusteredChecksum = 0;
+};
+
+/**
+ * With @p tier pinned: profile the base kernel at the workload's L2
+ * geometry, cluster it with the default pipeline that profile drives,
+ * and run the clustered kernel.
+ */
+TierOutcome
+profileAndCluster(const Workload &w, kisa::ExecTier tier)
+{
+    kisa::pinExecTier(tier);
+    const kisa::Program base = codegen::lower(w.kernel);
+    mem::CacheConfig geometry;
+    geometry.sizeBytes = w.l2Bytes;
+    geometry.assoc = 4;
+    kisa::MemoryImage scratch;
+    w.init(scratch);
+    const auto profile =
+        harness::CacheProfile::measure(base, scratch, geometry);
+
+    TierOutcome out;
+    std::set<std::uint32_t> ref_ids;
+    for (const kisa::Instr &in : base.code)
+        if (kisa::isMemOp(in.op))
+            ref_ids.insert(in.refId);
+    for (const std::uint32_t id : ref_ids) {
+        out.accesses.push_back(profile.accesses(static_cast<int>(id)));
+        out.missRates.push_back(profile.missRate(static_cast<int>(id)));
+    }
+
+    transform::DriverParams params;
+    params.bodySize = codegen::loweredBodySize;
+    params.missRate = profile.asFunction();
+    transform::Pipeline pipeline;
+    std::string error;
+    EXPECT_TRUE(transform::Pipeline::parse(
+        transform::pipelineSpecFromParams(params), pipeline, error))
+        << error;
+    pipeline.initMemory = w.init;
+    ir::Kernel kernel = w.kernel.clone();
+    pipeline.run(kernel, params);
+
+    codegen::CodegenOptions options;
+    options.clusteredSchedule = true;
+    kisa::MemoryImage mem;
+    w.init(mem);
+    kisa::execute(codegen::lower(kernel, options), mem);
+    out.clusteredChecksum = ir::checksumArrays(kernel, mem);
+    kisa::clearExecTierPin();
+    return out;
+}
+
+TEST_P(ExecTierWorkloads, ProfileAndClusteringAgreeAcrossTiers)
+{
+    const Workload w = makeByName(GetParam(), tiny());
+    const TierOutcome interp =
+        profileAndCluster(w, kisa::ExecTier::Interp);
+    const TierOutcome threaded =
+        profileAndCluster(w, kisa::ExecTier::Threaded);
+    EXPECT_FALSE(interp.accesses.empty());
+    EXPECT_EQ(interp.accesses, threaded.accesses) << "per-refId accesses";
+    EXPECT_EQ(interp.missRates, threaded.missRates) << "per-refId miss rates";
+    EXPECT_EQ(interp.clusteredChecksum, threaded.clusteredChecksum)
+        << "clustered array checksum";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, ExecTierWorkloads,

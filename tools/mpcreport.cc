@@ -157,7 +157,7 @@ struct Epoch
 struct Artifact
 {
     std::string path;
-    std::string kind;       ///< samples|bench|model|fig4|tune|perfcmp
+    std::string kind;       ///< samples|bench|model|fig4|tune|jobresult
     Manifest manifest;
     Value root;
 
@@ -233,8 +233,6 @@ classify(const Value &root)
         return "tune";
     if (schema == "mpc-jobresult-v1")
         return "jobresult";
-    if (schema == "perfcmp-v1")
-        return "perfcmp";
     if (root.field("bench") != nullptr && root.field("runs") != nullptr)
         return "bench";
     if (root.field("apps") != nullptr)
