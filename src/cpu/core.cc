@@ -31,8 +31,8 @@ Core::Core(int id, mem::EventQueue &eq, const CoreConfig &cfg,
     // the single semantic definition. Cross-check on every construction
     // in debug builds.
     for (size_t i = 0; i < program.code.size(); ++i)
-        MPC_ASSERT(program.meta[i] == kisa::deriveMeta(program.code[i]),
-                   "stale predecode sidecar at pc %zu", i);
+        if (!(program.meta[i] == kisa::deriveMeta(program.code[i])))
+            panic("stale predecode sidecar at pc %zu", i);
 #endif
 }
 
@@ -97,12 +97,12 @@ Core::auditScanCounts() const
             break;
         }
     }
-    MPC_ASSERT(pending == issuePending_,
-               "issuePending_ drift: counted %d, tracked %d", pending,
-               issuePending_);
-    MPC_ASSERT(completed == completedInWindow_,
-               "completedInWindow_ drift: counted %d, tracked %d",
-               completed, completedInWindow_);
+    if (pending != issuePending_)
+        panic("issuePending_ drift: counted %d, tracked %d", pending,
+              issuePending_);
+    if (completed != completedInWindow_)
+        panic("completedInWindow_ drift: counted %d, tracked %d",
+              completed, completedInWindow_);
 #endif
 }
 

@@ -26,7 +26,7 @@
  * (FNV-1a of the kernel IR text) x (FNV-1a of configKey + spec tail) —
  * so re-running a tune never re-simulates: the second run is 100%
  * store hits with byte-identical report output, and a tune shares
- * results with any farm sweep or bench that ran the same jobs against
+ * results with any bench that ran the same simulations against
  * the same store. Hit/miss counts go to stderr only — stdout must not
  * depend on store state. (PR 7's private tune_*.json cache files were
  * absorbed into this store.)

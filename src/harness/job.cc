@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <exception>
-#include <stdexcept>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "harness/manifest.hh"
 #include "kisa/exec_threaded.hh"
@@ -33,35 +32,6 @@ tickField(const json::Value &v, const std::string &name, Tick dflt = 0)
 {
     return static_cast<Tick>(
         json::numField(v, name, static_cast<double>(dflt)));
-}
-
-std::string
-cacheToJson(const mem::CacheConfig &c)
-{
-    json::ObjectWriter w;
-    w.field("sizeBytes", static_cast<std::uint64_t>(c.sizeBytes))
-        .field("assoc", c.assoc)
-        .field("lineBytes", c.lineBytes)
-        .field("numMshrs", c.numMshrs)
-        .field("numPorts", c.numPorts)
-        .field("hitLatency", static_cast<std::uint64_t>(c.hitLatency))
-        .field("fillLatency",
-               static_cast<std::uint64_t>(c.fillLatency));
-    return w.str();
-}
-
-void
-cacheFromJson(const json::Value &v, mem::CacheConfig &c)
-{
-    c.sizeBytes = static_cast<std::uint64_t>(
-        json::numField(v, "sizeBytes",
-                       static_cast<double>(c.sizeBytes)));
-    c.assoc = intField(v, "assoc", c.assoc);
-    c.lineBytes = intField(v, "lineBytes", c.lineBytes);
-    c.numMshrs = intField(v, "numMshrs", c.numMshrs);
-    c.numPorts = intField(v, "numPorts", c.numPorts);
-    c.hitLatency = tickField(v, "hitLatency", c.hitLatency);
-    c.fillLatency = tickField(v, "fillLatency", c.fillLatency);
 }
 
 /** Render @p v back to JSON text (objects in key order; numbers via
@@ -133,15 +103,6 @@ histFromJson(const json::Value &v)
     return h;
 }
 
-/** Resolve the tier a job would execute under right now. */
-std::string
-effectiveTier(const RunSpec &spec)
-{
-    if (!spec.execTier.empty())
-        return spec.execTier;
-    return kisa::execTierName(kisa::execTierFromEnv());
-}
-
 bool
 runManifestFromJson(const json::Value &v, RunManifest &m)
 {
@@ -165,267 +126,6 @@ runManifestFromJson(const json::Value &v, RunManifest &m)
 } // namespace
 
 std::string
-configToJson(const sys::SystemConfig &config)
-{
-    const cpu::CoreConfig &core = config.core;
-    json::ObjectWriter cw;
-    cw.field("fetchWidth", core.fetchWidth)
-        .field("issueWidth", core.issueWidth)
-        .field("retireWidth", core.retireWidth)
-        .field("windowSize", core.windowSize)
-        .field("memQueueSize", core.memQueueSize)
-        .field("maxBranches", core.maxBranches)
-        .field("numAlus", core.numAlus)
-        .field("numFpus", core.numFpus)
-        .field("numAddrUnits", core.numAddrUnits)
-        .field("latIntAlu", static_cast<std::uint64_t>(core.latIntAlu))
-        .field("latIntMul", static_cast<std::uint64_t>(core.latIntMul))
-        .field("latFpArith",
-               static_cast<std::uint64_t>(core.latFpArith))
-        .field("latFpDiv", static_cast<std::uint64_t>(core.latFpDiv))
-        .field("latFpSqrt", static_cast<std::uint64_t>(core.latFpSqrt))
-        .field("latAddrGen",
-               static_cast<std::uint64_t>(core.latAddrGen))
-        .field("mispredictPenalty",
-               static_cast<std::uint64_t>(core.mispredictPenalty))
-        .field("predictorEntries", core.predictorEntries)
-        .field("storeIssueWidth", core.storeIssueWidth);
-
-    const mem::MemBusConfig &bus = config.membus;
-    json::ObjectWriter bw;
-    bw.field("numBanks", bus.numBanks)
-        .field("interleave", static_cast<int>(bus.interleave))
-        .field("bankAccessLatency",
-               static_cast<std::uint64_t>(bus.bankAccessLatency))
-        .field("cpuCyclesPerBusCycle", bus.cpuCyclesPerBusCycle)
-        .field("busWidthBytes", bus.busWidthBytes)
-        .field("busArbLatency",
-               static_cast<std::uint64_t>(bus.busArbLatency));
-
-    json::ObjectWriter mw;
-    mw.field("flitBytes", config.mesh.flitBytes)
-        .field("cpuCyclesPerNetCycle",
-               config.mesh.cpuCyclesPerNetCycle)
-        .field("hopDelayNetCycles", config.mesh.hopDelayNetCycles);
-
-    json::ObjectWriter fw;
-    fw.field("lineBytes", config.fabric.lineBytes)
-        .field("dirLatency",
-               static_cast<std::uint64_t>(config.fabric.dirLatency))
-        .field("probeLatency",
-               static_cast<std::uint64_t>(config.fabric.probeLatency));
-
-    json::ObjectWriter sw;
-    sw.field("busWidthBytes", config.smp.busWidthBytes)
-        .field("cpuCyclesPerBusCycle", config.smp.cpuCyclesPerBusCycle)
-        .field("arbCycles",
-               static_cast<std::uint64_t>(config.smp.arbCycles));
-
-    json::ObjectWriter w;
-    w.field("name", config.name)
-        .field("nsPerCycle", config.nsPerCycle)
-        .field("skipAhead", config.skipAhead)
-        .field("singleLevel", config.hier.singleLevel)
-        .field("smpBus", config.smpBus)
-        .raw("l1", cacheToJson(config.hier.l1))
-        .raw("l2", cacheToJson(config.hier.l2))
-        .raw("core", cw.str())
-        .raw("membus", bw.str())
-        .raw("mesh", mw.str())
-        .raw("fabric", fw.str())
-        .raw("smp", sw.str());
-    return w.str();
-}
-
-bool
-configFromJson(const json::Value &v, sys::SystemConfig &out,
-               std::string &error)
-{
-    if (v.t != json::Value::T::Obj) {
-        error = "config is not a JSON object";
-        return false;
-    }
-    sys::SystemConfig config;    // defaults = baseConfig-shaped struct
-    config.name = json::strField(v, "name");
-    if (config.name.empty()) {
-        error = "config has no name";
-        return false;
-    }
-    config.nsPerCycle =
-        json::numField(v, "nsPerCycle", config.nsPerCycle);
-    if (const json::Value *f = v.field("skipAhead"))
-        config.skipAhead = f->b;
-    if (const json::Value *f = v.field("singleLevel"))
-        config.hier.singleLevel = f->b;
-    if (const json::Value *f = v.field("smpBus"))
-        config.smpBus = f->b;
-    if (const json::Value *f = v.field("l1"))
-        cacheFromJson(*f, config.hier.l1);
-    if (const json::Value *f = v.field("l2"))
-        cacheFromJson(*f, config.hier.l2);
-    if (const json::Value *f = v.field("core")) {
-        cpu::CoreConfig &core = config.core;
-        core.fetchWidth = intField(*f, "fetchWidth", core.fetchWidth);
-        core.issueWidth = intField(*f, "issueWidth", core.issueWidth);
-        core.retireWidth =
-            intField(*f, "retireWidth", core.retireWidth);
-        core.windowSize = intField(*f, "windowSize", core.windowSize);
-        core.memQueueSize =
-            intField(*f, "memQueueSize", core.memQueueSize);
-        core.maxBranches =
-            intField(*f, "maxBranches", core.maxBranches);
-        core.numAlus = intField(*f, "numAlus", core.numAlus);
-        core.numFpus = intField(*f, "numFpus", core.numFpus);
-        core.numAddrUnits =
-            intField(*f, "numAddrUnits", core.numAddrUnits);
-        core.latIntAlu = tickField(*f, "latIntAlu", core.latIntAlu);
-        core.latIntMul = tickField(*f, "latIntMul", core.latIntMul);
-        core.latFpArith = tickField(*f, "latFpArith", core.latFpArith);
-        core.latFpDiv = tickField(*f, "latFpDiv", core.latFpDiv);
-        core.latFpSqrt = tickField(*f, "latFpSqrt", core.latFpSqrt);
-        core.latAddrGen = tickField(*f, "latAddrGen", core.latAddrGen);
-        core.mispredictPenalty =
-            tickField(*f, "mispredictPenalty", core.mispredictPenalty);
-        core.predictorEntries =
-            intField(*f, "predictorEntries", core.predictorEntries);
-        core.storeIssueWidth =
-            intField(*f, "storeIssueWidth", core.storeIssueWidth);
-    }
-    if (const json::Value *f = v.field("membus")) {
-        mem::MemBusConfig &bus = config.membus;
-        bus.numBanks = intField(*f, "numBanks", bus.numBanks);
-        bus.interleave = static_cast<mem::Interleave>(intField(
-            *f, "interleave", static_cast<int>(bus.interleave)));
-        bus.bankAccessLatency =
-            tickField(*f, "bankAccessLatency", bus.bankAccessLatency);
-        bus.cpuCyclesPerBusCycle = intField(
-            *f, "cpuCyclesPerBusCycle", bus.cpuCyclesPerBusCycle);
-        bus.busWidthBytes =
-            intField(*f, "busWidthBytes", bus.busWidthBytes);
-        bus.busArbLatency =
-            tickField(*f, "busArbLatency", bus.busArbLatency);
-    }
-    if (const json::Value *f = v.field("mesh")) {
-        config.mesh.flitBytes =
-            intField(*f, "flitBytes", config.mesh.flitBytes);
-        config.mesh.cpuCyclesPerNetCycle =
-            intField(*f, "cpuCyclesPerNetCycle",
-                     config.mesh.cpuCyclesPerNetCycle);
-        config.mesh.hopDelayNetCycles =
-            intField(*f, "hopDelayNetCycles",
-                     config.mesh.hopDelayNetCycles);
-    }
-    if (const json::Value *f = v.field("fabric")) {
-        config.fabric.lineBytes =
-            intField(*f, "lineBytes", config.fabric.lineBytes);
-        config.fabric.dirLatency =
-            tickField(*f, "dirLatency", config.fabric.dirLatency);
-        config.fabric.probeLatency =
-            tickField(*f, "probeLatency", config.fabric.probeLatency);
-    }
-    if (const json::Value *f = v.field("smp")) {
-        config.smp.busWidthBytes =
-            intField(*f, "busWidthBytes", config.smp.busWidthBytes);
-        config.smp.cpuCyclesPerBusCycle =
-            intField(*f, "cpuCyclesPerBusCycle",
-                     config.smp.cpuCyclesPerBusCycle);
-        config.smp.arbCycles =
-            tickField(*f, "arbCycles", config.smp.arbCycles);
-    }
-    out = config;
-    return true;
-}
-
-std::string
-runSpecToJson(const RunSpec &spec)
-{
-    json::ObjectWriter w;
-    w.raw("config", configToJson(spec.config))
-        .field("procs", spec.procs)
-        .field("clustered", spec.clustered)
-        .field("maxUnroll", spec.maxUnroll)
-        .field("maxCycles", static_cast<std::uint64_t>(spec.maxCycles))
-        .field("pipeline", spec.pipeline)
-        .field("dumpIr", spec.dumpIr)
-        .field("execTier", spec.execTier);
-    return w.str();
-}
-
-bool
-runSpecFromJson(const json::Value &v, RunSpec &out, std::string &error)
-{
-    if (v.t != json::Value::T::Obj) {
-        error = "spec is not a JSON object";
-        return false;
-    }
-    RunSpec spec;
-    // config is optional in hand-written job files: absent means the
-    // default baseConfig() the RunSpec already carries.
-    if (const json::Value *config = v.field("config");
-        config != nullptr && !configFromJson(*config, spec.config, error))
-        return false;
-    spec.procs = intField(v, "procs", spec.procs);
-    spec.clustered = json::boolField(v, "clustered");
-    spec.maxUnroll = intField(v, "maxUnroll", spec.maxUnroll);
-    spec.maxCycles = tickField(v, "maxCycles", spec.maxCycles);
-    spec.pipeline = json::strField(v, "pipeline");
-    spec.dumpIr = json::strField(v, "dumpIr");
-    spec.execTier = json::strField(v, "execTier");
-    out = spec;
-    return true;
-}
-
-std::string
-Job::toJson() const
-{
-    json::ObjectWriter w;
-    w.field("schema", "mpc-job-v1")
-        .field("workload", workload)
-        .field("scale", scale)
-        .raw("spec", runSpecToJson(spec));
-    return w.str();
-}
-
-bool
-Job::fromJson(const std::string &text, Job &out, std::string &error)
-{
-    json::Value root;
-    if (!json::parse(text, root) || root.t != json::Value::T::Obj) {
-        error = "malformed job JSON";
-        return false;
-    }
-    const std::string schema = json::strField(root, "schema");
-    if (schema != "mpc-job-v1") {
-        error = "unknown job schema '" + schema + "'";
-        return false;
-    }
-    Job job;
-    job.workload = json::strField(root, "workload");
-    if (!workloads::isKnownWorkload(job.workload)) {
-        error = "unknown workload '" + job.workload + "'";
-        return false;
-    }
-    job.scale = intField(root, "scale", job.scale);
-    const json::Value *spec = root.field("spec");
-    if (spec == nullptr) {
-        error = "job has no spec";
-        return false;
-    }
-    if (!runSpecFromJson(*spec, job.spec, error))
-        return false;
-    out = job;
-    return true;
-}
-
-workloads::Workload
-materializeJob(const Job &job)
-{
-    workloads::SizeParams size;
-    size.scale = job.scale;
-    return workloads::makeByName(job.workload, size);
-}
-
-std::string
 jobKeyText(const workloads::Workload &workload, const RunSpec &spec,
            int scale)
 {
@@ -439,7 +139,7 @@ jobKeyText(const workloads::Workload &workload, const RunSpec &spec,
                      spec.clustered ? 1 : 0, spec.maxUnroll,
                      static_cast<unsigned long long>(spec.maxCycles),
                      spec.pipeline.c_str(),
-                     effectiveTier(spec).c_str(),
+                     kisa::execTierName(kisa::execTierFromEnv()),
                      spec.config.skipAhead ? "skip" : "reference");
 }
 
@@ -449,12 +149,6 @@ jobKeyFor(const workloads::Workload &workload, const RunSpec &spec,
 {
     return json::hex64(fnv1a(workload.kernel.toString())) +
            json::hex64(fnv1a(jobKeyText(workload, spec, scale)));
-}
-
-std::string
-jobKey(const Job &job)
-{
-    return jobKeyFor(materializeJob(job), job.spec, job.scale);
 }
 
 std::string
@@ -610,32 +304,6 @@ runStoredWorkload(const workloads::Workload &workload,
     jr.manifestJson = blankManifestHost(run.manifestJson);
     store->put(key, jr.toJson());
     return run;
-}
-
-JobResult
-runJob(const Job &job, ResultStore *store, bool *from_store)
-{
-    JobResult out;
-    if (!workloads::isKnownWorkload(job.workload)) {
-        out.ok = false;
-        out.error = "unknown workload '" + job.workload + "'";
-        if (from_store != nullptr)
-            *from_store = false;
-        return out;
-    }
-    try {
-        const workloads::Workload workload = materializeJob(job);
-        const WorkloadRun run = runStoredWorkload(
-            workload, job.spec, job.scale, store, from_store);
-        out.ok = true;
-        out.result = run.result;
-        out.report = run.report;
-        out.manifestJson = blankManifestHost(run.manifestJson);
-    } catch (const std::exception &e) {
-        out.ok = false;
-        out.error = e.what();
-    }
-    return out;
 }
 
 } // namespace mpc::harness

@@ -1,24 +1,21 @@
 /**
  * @file
- * Job layer of the experiment farm: a serialized, content-addressed
- * unit of simulation work.
+ * Content-addressed simulation results: the key a run is stored
+ * under, the serialized result, and the store-backed run path.
  *
- *  - RunSpec/SystemConfig JSON: every simulation-relevant field
- *    round-trips (config overrides, pipeline spec, procs, exec tier,
- *    step mode), so a Job survives a pipe or a job file byte-exactly.
- *  - Job = (workload name, size scale, RunSpec). Its content key is
- *    composed from the PR 8 manifest fields — FNV-1a of the
- *    UNtransformed kernel IR text x FNV-1a of configKey() of the
+ *  - The content key of a (workload, scale, RunSpec) run is composed
+ *    from the run manifest's fields (harness/manifest.hh) — FNV-1a of
+ *    the UNtransformed kernel IR text x FNV-1a of configKey() of the
  *    scaled config plus a spec/tier/step tail — two 16-digit hex
  *    halves, computable without simulating or profiling anything.
  *  - JobResult carries the RunResult counters and histograms the
  *    figure benches print, the DriverReport, and the run manifest
  *    (host-blanked so store entries are byte-stable across hosts).
- *  - runStoredWorkload()/runJob(): the store-backed execution path —
- *    check the ResultStore under the job key, simulate on a miss,
- *    publish the JobResult. Doubles render via json::num (%.17g), so
- *    a warm run's stdout is byte-identical to the cold run that filled
- *    the store.
+ *  - runStoredWorkload(): the store-backed execution path — check the
+ *    ResultStore under the content key, simulate on a miss, publish
+ *    the JobResult. Doubles render via json::num (%.17g), so a warm
+ *    run's stdout is byte-identical to the cold run that filled the
+ *    store.
  *
  * Store hits return a WorkloadRun whose RunResult holds only the
  * serialized subset (no per-core stats, cache stats, or obs metrics)
@@ -32,61 +29,27 @@
 
 #include <string>
 
-#include "common/json.hh"
 #include "harness/runner.hh"
 #include "harness/store.hh"
 
 namespace mpc::harness
 {
 
-/** Render @p config for a job file: every simulation-relevant field
- *  (the configKey() set), nothing observational. */
-std::string configToJson(const sys::SystemConfig &config);
-
-/** Parse configToJson() output over default-constructed presets.
- *  @return false (with @p error set) on malformed input. */
-bool configFromJson(const json::Value &v, sys::SystemConfig &out,
-                    std::string &error);
-
-std::string runSpecToJson(const RunSpec &spec);
-bool runSpecFromJson(const json::Value &v, RunSpec &out,
-                     std::string &error);
-
-/** One serialized simulation: workload x scale x RunSpec. */
-struct Job
-{
-    std::string workload;   ///< workloads::makeByName() name
-    int scale = 2;          ///< workloads::SizeParams::scale
-    RunSpec spec;
-
-    /** Single-line JSON (schema "mpc-job-v1") — safe for JSONL job
-     *  files and the farm's worker pipes. */
-    std::string toJson() const;
-    static bool fromJson(const std::string &text, Job &out,
-                         std::string &error);
-};
-
-/** Instantiate the job's workload (fatals on an unknown name). */
-workloads::Workload materializeJob(const Job &job);
-
 /**
  * The composition string the second key half hashes (exposed for tests
  * and key-debugging): configKey() of the scaled config plus the
- * workload/scale/spec/tier/step tail. The kernel text is hashed
- * separately into the first half.
+ * workload/scale/spec/step tail and the ambient execution tier. The
+ * kernel text is hashed separately into the first half.
  */
 std::string jobKeyText(const workloads::Workload &workload,
                        const RunSpec &spec, int scale);
 
 /** 32-hex-digit content key: hex64(fnv1a(untransformed kernel text))
- *  then hex64(fnv1a(jobKeyText())). Materializes the workload. */
-std::string jobKey(const Job &job);
-
-/** jobKey() when the workload is already materialized. */
+ *  then hex64(fnv1a(jobKeyText())). */
 std::string jobKeyFor(const workloads::Workload &workload,
                       const RunSpec &spec, int scale);
 
-/** Serialized outcome of one job (schema "mpc-jobresult-v1"). */
+/** Serialized outcome of one run (schema "mpc-jobresult-v1"). */
 struct JobResult
 {
     bool ok = false;
@@ -116,22 +79,15 @@ std::string blankManifestHost(const std::string &manifest_json);
 bool storeEligible(const RunSpec &spec);
 
 /**
- * runWorkload() behind the store: serve a hit under the job key, else
- * simulate and publish. @p store may be null (plain run); ineligible
- * specs (storeEligible()) bypass the store. @p from_store, when
- * non-null, reports whether the result came from the store.
+ * runWorkload() behind the store: serve a hit under the content key,
+ * else simulate and publish. @p store may be null (plain run);
+ * ineligible specs (storeEligible()) bypass the store. @p from_store,
+ * when non-null, reports whether the result came from the store.
  */
 WorkloadRun runStoredWorkload(const workloads::Workload &workload,
                               const RunSpec &spec, int scale,
                               ResultStore *store,
                               bool *from_store = nullptr);
-
-/**
- * Execute @p job through @p store (never throws: failures come back as
- * ok=false JobResults, so a farm worker survives any job).
- */
-JobResult runJob(const Job &job, ResultStore *store,
-                 bool *from_store = nullptr);
 
 } // namespace mpc::harness
 

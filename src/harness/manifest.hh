@@ -4,8 +4,8 @@
  * the harness and benches emit (BENCH_*.json, MODEL_VS_MEASURED_*.json,
  * FIG4_mshr.json, SAMPLES time series, and the autotune result cache).
  *
- * An artifact without provenance is a number without units: once the
- * experiment farm compares hundreds of JSON files, nothing but the
+ * An artifact without provenance is a number without units: once a
+ * sweep leaves hundreds of JSON files, nothing but the
  * manifest says which kernel text, machine configuration, pipeline
  * spec, execution tier, and step mode produced each one. The manifest
  * identifies a run by content hashes — FNV-1a of the final

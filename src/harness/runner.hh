@@ -37,15 +37,6 @@ struct RunSpec
 
     /** IR dump mode: "" (off) or "after-each-pass" (to stdout). */
     std::string dumpIr;
-
-    /**
-     * Execution tier this job was keyed for: "" (resolve from the
-     * ambient MPC_EXEC_TIER / pin at run time), "interp", or
-     * "threaded". Tiers execute bit-identically, so this never changes
-     * results — it exists so serialized jobs record which tier ran
-     * them and farm workers can pin it (harness/job.hh).
-     */
-    std::string execTier;
 };
 
 /** One simulation run, plus what the compiler did to get there. */

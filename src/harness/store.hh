@@ -1,9 +1,8 @@
 /**
  * @file
  * ResultStore: the on-disk content-addressed store behind every
- * cached simulation result — the experiment farm (harness/farm.hh),
- * the store-backed ParallelRunner path, and the mpctune result cache
- * (which PR 9 migrated off its private tune_*.json format).
+ * cached simulation result — the store-backed ParallelRunner path the
+ * figure benches take, and the mpctune result cache.
  *
  * Keys are fixed-width lowercase-hex content hashes (the Job layer
  * composes them from kernel-IR hash x configKey hash; see

@@ -99,8 +99,9 @@ TEST(CandidateSpecs, HandSpecFirstAndGridIsDeduplicated)
 TEST(CacheKey, TuneMeasurementsKeyLikeAnyOtherJob)
 {
     // The tuner's cache lives in the shared ResultStore, keyed by the
-    // same jobKeyFor() composition every farm job uses — so a tune and
-    // a sweep of the same (workload, config, spec) share results.
+    // same jobKeyFor() composition every store-backed run uses — so a
+    // tune and a bench of the same (workload, config, spec) share
+    // results.
     const workloads::Workload w = workloads::makeEm3d(tinySize());
     RunSpec spec;
     spec.pipeline = "fuse,cluster(maxDegree=8)";

@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit tests for the experiment farm's job and store layers
- * (harness/job.hh, harness/store.hh): RunSpec/Job/JobResult JSON
- * round-trips, content-key stability and per-field sensitivity,
- * ResultStore durability semantics (atomic writes, corrupt-entry
- * quarantine, concurrent same-key writers), and store eligibility.
+ * Unit tests for the result store and its content keys
+ * (harness/job.hh, harness/store.hh): JobResult JSON round-trips,
+ * content-key stability and per-field sensitivity, ResultStore
+ * durability semantics (atomic writes, corrupt-entry quarantine,
+ * concurrent same-key writers), store eligibility, and warm store-backed
+ * runs serving the counters the benches print.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,9 @@
 #include "common/json.hh"
 #include "harness/job.hh"
 #include "harness/manifest.hh"
+#include "harness/parallel.hh"
 #include "harness/store.hh"
+#include "kisa/exec_threaded.hh"
 #include "workloads/workload.hh"
 
 namespace mpc::harness
@@ -146,83 +149,6 @@ TEST(ResultStore, ConcurrentSameKeyWritersNeverTearAnEntry)
 }
 
 // ---------------------------------------------------------------------
-// RunSpec / Job serialization.
-
-TEST(JobJson, RunSpecRoundTripsEverySimRelevantField)
-{
-    RunSpec spec;
-    spec.config = sys::exemplarConfig();
-    spec.config.skipAhead = false;
-    spec.config.hier.l2.numMshrs = 7;
-    spec.config.membus.interleave = mem::Interleave::Skewed;
-    spec.config.core.numAlus = 3;
-    spec.procs = 4;
-    spec.clustered = true;
-    spec.maxUnroll = 9;
-    spec.maxCycles = Tick(12345678901234ull);
-    spec.pipeline = "fuse,cluster(maxDegree=4),prefetch(dist=2)";
-    spec.dumpIr = "after-cluster";
-    spec.execTier = "interp";
-
-    const std::string text = runSpecToJson(spec);
-    json::Value v;
-    ASSERT_TRUE(json::parse(text, v));
-    RunSpec back;
-    std::string error;
-    ASSERT_TRUE(runSpecFromJson(v, back, error)) << error;
-
-    // Byte-exact re-serialization is the round-trip invariant the farm
-    // pipes depend on.
-    EXPECT_EQ(runSpecToJson(back), text);
-    EXPECT_EQ(back.procs, 4);
-    EXPECT_TRUE(back.clustered);
-    EXPECT_EQ(back.maxUnroll, 9);
-    EXPECT_EQ(back.maxCycles, Tick(12345678901234ull));
-    EXPECT_EQ(back.pipeline, spec.pipeline);
-    EXPECT_EQ(back.dumpIr, "after-cluster");
-    EXPECT_EQ(back.execTier, "interp");
-    EXPECT_FALSE(back.config.skipAhead);
-    EXPECT_EQ(back.config.hier.l2.numMshrs, 7);
-    EXPECT_EQ(back.config.membus.interleave, mem::Interleave::Skewed);
-    EXPECT_EQ(back.config.core.numAlus, 3);
-    // The config key — everything the simulator reads — must survive.
-    EXPECT_EQ(configKey(back.config, 4), configKey(spec.config, 4));
-}
-
-TEST(JobJson, JobIsSingleLineAndRoundTrips)
-{
-    Job job;
-    job.workload = "fft";
-    job.scale = 1;
-    job.spec.procs = 2;
-    job.spec.clustered = true;
-
-    const std::string line = job.toJson();
-    EXPECT_EQ(line.find('\n'), std::string::npos) << line;
-
-    Job back;
-    std::string error;
-    ASSERT_TRUE(Job::fromJson(line, back, error)) << error;
-    EXPECT_EQ(back.workload, "fft");
-    EXPECT_EQ(back.scale, 1);
-    EXPECT_EQ(back.spec.procs, 2);
-    EXPECT_TRUE(back.spec.clustered);
-    EXPECT_EQ(back.toJson(), line);
-}
-
-TEST(JobJson, RejectsBadSchemaAndUnknownWorkload)
-{
-    Job out;
-    std::string error;
-    EXPECT_FALSE(Job::fromJson("{\"schema\": \"bogus\"}", out, error));
-    EXPECT_FALSE(error.empty());
-    Job job;
-    job.workload = "no-such-workload";
-    EXPECT_FALSE(Job::fromJson(job.toJson(), out, error));
-    EXPECT_FALSE(Job::fromJson("not json at all", out, error));
-}
-
-// ---------------------------------------------------------------------
 // Content keys.
 
 TEST(JobKey, GoldenFnvVectorsAnchorTheHash)
@@ -244,13 +170,8 @@ TEST(JobKey, ComposedFromKernelAndKeyTextHalves)
     EXPECT_TRUE(ResultStore::validKey(key));
     EXPECT_EQ(key, json::hex64(fnv1a(w.kernel.toString())) +
                        json::hex64(fnv1a(jobKeyText(w, spec, 1))));
-    // Stable across calls and across the Job-based spelling.
+    // Stable across calls.
     EXPECT_EQ(key, jobKeyFor(w, spec, 1));
-    Job job;
-    job.workload = "latbench";
-    job.scale = 1;
-    job.spec = spec;
-    EXPECT_EQ(jobKey(job), key);
 }
 
 TEST(JobKey, EverySpecFieldFlipsTheKey)
@@ -270,7 +191,14 @@ TEST(JobKey, EverySpecFieldFlipsTheKey)
     EXPECT_NE(key, mutated([](RunSpec &s) { s.maxCycles = 1000; }));
     EXPECT_NE(key,
               mutated([](RunSpec &s) { s.pipeline = "fuse,cluster"; }));
-    EXPECT_NE(key, mutated([](RunSpec &s) { s.execTier = "interp"; }));
+    // The execution tier the run would use lands in the key's tier=
+    // term.
+    kisa::pinExecTier(kisa::ExecTier::Interp);
+    const std::string interp_key = jobKeyFor(w, base, 1);
+    kisa::pinExecTier(kisa::ExecTier::Threaded);
+    const std::string threaded_key = jobKeyFor(w, base, 1);
+    kisa::clearExecTierPin();
+    EXPECT_NE(interp_key, threaded_key);
     EXPECT_NE(key,
               mutated([](RunSpec &s) { s.config.skipAhead = false; }));
     EXPECT_NE(key, mutated([](RunSpec &s) {
@@ -411,6 +339,76 @@ TEST(StoreEligible, DumpIrAndInstrumentationEnvsBypassTheStore)
         ::unsetenv(env);
     }
     EXPECT_TRUE(storeEligible(spec));
+}
+
+// ---------------------------------------------------------------------
+// Store-backed runs.
+
+TEST(RunStoredWorkload, WarmRunServesIdenticalCounters)
+{
+    ResultStore store(freshDir("job_warm"));
+    const workloads::SizeParams size{.scale = 1};
+    const workloads::Workload w = workloads::makeLatbench(size);
+    RunSpec spec;
+
+    bool from_store = true;
+    const WorkloadRun cold =
+        runStoredWorkload(w, spec, 1, &store, &from_store);
+    EXPECT_FALSE(from_store);
+    EXPECT_GT(cold.result.cycles, 0u);
+
+    const WorkloadRun warm =
+        runStoredWorkload(w, spec, 1, &store, &from_store);
+    EXPECT_TRUE(from_store);
+    // Everything a figure bench prints must match bit-for-bit.
+    EXPECT_EQ(warm.result.cycles, cold.result.cycles);
+    EXPECT_EQ(warm.result.instructions, cold.result.instructions);
+    EXPECT_EQ(warm.result.busyCycles, cold.result.busyCycles);
+    EXPECT_EQ(warm.result.dataReadCycles, cold.result.dataReadCycles);
+    EXPECT_EQ(warm.result.busUtilization, cold.result.busUtilization);
+    EXPECT_EQ(warm.result.bankUtilization, cold.result.bankUtilization);
+    EXPECT_EQ(warm.result.l2ReadMshr.meanLevel(),
+              cold.result.l2ReadMshr.meanLevel());
+    EXPECT_EQ(warm.result.l2ReadMshr.fracAtLeast(1),
+              cold.result.l2ReadMshr.fracAtLeast(1));
+    EXPECT_EQ(warm.result.l2TotalMshr.totalTicks(),
+              cold.result.l2TotalMshr.totalTicks());
+    // The report summary the benches fold in round-trips too.
+    EXPECT_EQ(warm.report.toJson(), cold.report.toJson());
+    // Manifests match except host, which is blanked in the store.
+    EXPECT_EQ(warm.manifestJson, blankManifestHost(cold.manifestJson));
+}
+
+TEST(ParallelRunner, StoreBackedPairsAreIdenticalWarmAndCold)
+{
+    const std::string dir = freshDir("pairs_store");
+    ::setenv("MPC_STORE", dir.c_str(), 1);
+
+    const workloads::SizeParams size{.scale = 1};
+    const auto make_jobs = [&size] {
+        std::vector<PairJob> jobs(1);
+        jobs[0].workload = workloads::makeLatbench(size);
+        jobs[0].label = "latbench";
+        jobs[0].config = sys::baseConfig();
+        jobs[0].procs = 1;
+        jobs[0].scale = size.scale;
+        return jobs;
+    };
+    auto cold_jobs = make_jobs();
+    const auto cold = runPairsParallel(cold_jobs);
+    auto warm_jobs = make_jobs();
+    const auto warm = runPairsParallel(warm_jobs);
+    ::unsetenv("MPC_STORE");
+
+    ASSERT_EQ(cold.size(), 1u);
+    ASSERT_EQ(warm.size(), 1u);
+    EXPECT_EQ(warm[0].pair.base.result.cycles,
+              cold[0].pair.base.result.cycles);
+    EXPECT_EQ(warm[0].pair.clust.result.cycles,
+              cold[0].pair.clust.result.cycles);
+    EXPECT_EQ(warm[0].pair.reductionPct(), cold[0].pair.reductionPct());
+    EXPECT_EQ(warm[0].pair.base.result.l2ReadMshr.meanLevel(),
+              cold[0].pair.base.result.l2ReadMshr.meanLevel());
 }
 
 } // namespace

@@ -43,14 +43,12 @@
  * measured MLP of each run.
  */
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
 
+#include "cli.hh"
 #include "codegen/codegen.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -80,35 +78,6 @@ printUsage(std::FILE *out, const char *argv0)
                  argv0);
 }
 
-/** Print "mpclust: @p why" and the usage to stderr, then exit 2. */
-[[noreturn]] void
-usageError(const char *argv0, const std::string &why)
-{
-    std::fprintf(stderr, "mpclust: %s\n", why.c_str());
-    printUsage(stderr, argv0);
-    std::exit(2);
-}
-
-/** The value of integer option @p flag: all of @p text, within
- *  [@p lo, @p hi]; anything else is a usage error naming the value. */
-int
-intArg(const char *argv0, const std::string &flag, const char *text,
-       int lo, int hi = INT_MAX)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v < lo ||
-        v > hi) {
-        const std::string range =
-            hi == INT_MAX ? ">= " + std::to_string(lo)
-                          : std::to_string(lo) + ".." + std::to_string(hi);
-        usageError(argv0, "bad " + flag + " '" + text +
-                              "' (expected an integer " + range + ")");
-    }
-    return static_cast<int>(v);
-}
-
 void
 printRun(const char *label, const sys::RunResult &r)
 {
@@ -133,8 +102,9 @@ printRun(const char *label, const sys::RunResult &r)
 int
 main(int argc, char **argv)
 {
+    const cli::Tool tool{"mpclust", argv[0], printUsage};
     if (argc < 2)
-        usageError(argv[0], "missing workload");
+        tool.usageError("missing workload");
     const auto is_help = [](const char *arg) {
         return std::strcmp(arg, "--help") == 0 ||
                std::strcmp(arg, "-h") == 0;
@@ -159,10 +129,10 @@ main(int argc, char **argv)
 
     const std::string name = argv[1];
     if (name[0] == '-')
-        usageError(argv[0], "expected a workload before '" + name + "'");
+        tool.usageError("expected a workload before '" + name + "'");
     if (!workloads::isKnownWorkload(name))
-        usageError(argv[0], "unknown workload '" + name +
-                                "' (--list shows them)");
+        tool.usageError("unknown workload '" + name +
+                        "' (--list shows them)");
     workloads::SizeParams size;
     size.scale = 2;
     int procs = -1;
@@ -182,35 +152,27 @@ main(int argc, char **argv)
         const std::string arg = argv[a];
         auto next = [&]() -> const char * {
             if (a + 1 >= argc)
-                usageError(argv[0], "option '" + arg + "' needs a value");
+                tool.usageError("option '" + arg + "' needs a value");
             return argv[++a];
         };
         if (is_help(argv[a])) {
             printUsage(stdout, argv[0]);
             return 0;
         } else if (arg == "--scale")
-            size.scale = intArg(argv[0], arg, next(), 1, 3);
+            size.scale = tool.intArg(arg, next(), 1, 3);
         else if (arg == "--procs")
-            procs = intArg(argv[0], arg, next(), 1);
+            procs = tool.intArg(arg, next(), 1);
         else if (arg == "--config") {
             config_name = next();
-            if (config_name == "base")
-                spec.config = sys::baseConfig();
-            else if (config_name == "1ghz")
-                spec.config = sys::oneGHzConfig();
-            else if (config_name == "exemplar")
-                spec.config = sys::exemplarConfig();
-            else
-                usageError(argv[0], "bad --config '" + config_name +
-                                        "' (expected base|1ghz|exemplar)");
+            spec.config = tool.configArg(config_name);
         } else if (arg == "--base-only")
             run_clust = false;
         else if (arg == "--clust-only")
             run_base = false;
         else if (arg == "--prefetch")
-            prefetch = intArg(argv[0], arg, next(), 0);
+            prefetch = tool.intArg(arg, next(), 0);
         else if (arg == "--max-unroll")
-            max_unroll = intArg(argv[0], arg, next(), 1);
+            max_unroll = tool.intArg(arg, next(), 1);
         else if (arg == "--show-kernel")
             show_kernel = true;
         else if (arg == "--show-refs")
@@ -232,10 +194,10 @@ main(int argc, char **argv)
             else if (tier == "threaded")
                 exec_tier = kisa::ExecTier::Threaded;
             else
-                usageError(argv[0], "bad --exec-tier '" + tier +
-                                        "' (expected interp|threaded)");
+                tool.usageError("bad --exec-tier '" + tier +
+                                "' (expected interp|threaded)");
         } else
-            usageError(argv[0], "unknown option '" + arg + "'");
+            tool.usageError("unknown option '" + arg + "'");
     }
 
     // Resolve the execution tier exactly once per invocation: the flag

@@ -10,7 +10,7 @@
  *   mpcreport [--markdown] [--store DIR] [FILE.json...]
  *
  * --store DIR walks a content-addressed ResultStore (the sharded
- * layout mpcfarm and mpctune populate; see harness/store.hh), skipping
+ * layout MPC_STORE and mpctune populate; see harness/store.hh), skipping
  * its quarantine/ subtree, and renders every stored JobResult in one
  * key-sorted table — the summary view of everything a sweep has
  * computed so far.

@@ -14,8 +14,8 @@
  *   --cache DIR      content-addressed ResultStore directory
  *                    (harness/store.hh); reruns with the same
  *                    kernel/config/spec never re-simulate, and the
- *                    store is shared with mpcfarm sweeps (default:
- *                    off)
+ *                    store is shared with MPC_STORE bench runs
+ *                    (default: off)
  *   --json PREFIX    write MPCTUNE_<workload>.json under PREFIX
  *                    (a directory; default: off)
  *   --jobs N         parallel simulations (default: MPC_JOBS or
@@ -23,6 +23,12 @@
  *   --exec-tier T    functional-execution backend: interp | threaded.
  *                    Resolved once at startup: the flag wins over
  *                    $MPC_EXEC_TIER; default threaded.
+ *   --help, -h       print the usage to stdout and exit
+ *
+ * Options and workloads are checked before any tuning starts. An
+ * unknown option or workload, or a missing, malformed or out-of-range
+ * value, prints a message naming it and the usage to stderr, and exits
+ * with status 2.
  *
  * stdout carries only the deterministic tuning report — identical
  * between a cold run and a fully cached rerun. Cache hit/miss counts
@@ -30,14 +36,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "harness/autotune.hh"
 #include "kisa/exec_threaded.hh"
 #include "workloads/workload.hh"
@@ -45,18 +50,17 @@
 namespace
 {
 
-[[noreturn]] void
-usage(const char *argv0)
+void
+printUsage(std::FILE *out, const char *argv0)
 {
-    std::fprintf(stderr,
+    std::fprintf(out,
                  "usage: %s <workload> [<workload>...]\n"
                  "  [--scale N] [--procs N] [--config base|1ghz|"
                  "exemplar]\n"
                  "  [--budget N] [--cache DIR] [--json PREFIX] "
                  "[--jobs N]\n"
-                 "  [--exec-tier interp|threaded]\n",
+                 "  [--exec-tier interp|threaded] | --help\n",
                  argv0);
-    std::exit(2);
 }
 
 } // namespace
@@ -66,61 +70,59 @@ main(int argc, char **argv)
 {
     using namespace mpc;
 
+    const cli::Tool tool{"mpctune", argv[0], printUsage};
     if (argc < 2)
-        usage(argv[0]);
+        tool.usageError("missing workload");
 
     std::vector<std::string> names;
     workloads::SizeParams size;
     size.scale = 2;
-    int procs = -1;
-    std::string config_name = "base";
-    int budget = 8;
-    std::string cache_dir;
+    harness::TuneOptions opts;
     std::string json_prefix;
-    int jobs = 0;
     std::optional<kisa::ExecTier> exec_tier;
 
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
         auto next = [&]() -> const char * {
             if (a + 1 >= argc)
-                usage(argv[0]);
+                tool.usageError("option '" + arg + "' needs a value");
             return argv[++a];
         };
-        if (arg == "--scale")
-            size.scale = std::atoi(next());
+        if (arg == "--help" || arg == "-h") {
+            printUsage(stdout, argv[0]);
+            return 0;
+        } else if (arg == "--scale")
+            size.scale = tool.intArg(arg, next(), 1, 3);
         else if (arg == "--procs")
-            procs = std::atoi(next());
+            opts.procs = tool.intArg(arg, next(), 1);
         else if (arg == "--config")
-            config_name = next();
+            opts.config = tool.configArg(next());
         else if (arg == "--budget")
-            budget = std::atoi(next());
+            opts.simBudget = tool.intArg(arg, next(), 1);
         else if (arg == "--cache")
-            cache_dir = next();
+            opts.cacheDir = next();
         else if (arg == "--json")
             json_prefix = next();
         else if (arg == "--jobs")
-            jobs = std::atoi(next());
+            opts.threads = tool.intArg(arg, next(), 0);
         else if (arg == "--exec-tier") {
-            const char *tier = next();
-            if (std::strcmp(tier, "interp") == 0)
+            const std::string tier = next();
+            if (tier == "interp")
                 exec_tier = kisa::ExecTier::Interp;
-            else if (std::strcmp(tier, "threaded") == 0)
+            else if (tier == "threaded")
                 exec_tier = kisa::ExecTier::Threaded;
-            else {
-                std::fprintf(stderr,
-                             "mpctune: bad --exec-tier '%s' (expected "
-                             "interp|threaded)\n",
-                             tier);
-                return 2;
-            }
-        } else if (!arg.empty() && arg[0] == '-')
-            usage(argv[0]);
+            else
+                tool.usageError("bad --exec-tier '" + tier +
+                                "' (expected interp|threaded)");
+        } else if (arg[0] == '-')
+            tool.usageError("unknown option '" + arg + "'");
+        else if (!workloads::isKnownWorkload(arg))
+            tool.usageError("unknown workload '" + arg + "'");
         else
             names.push_back(arg);
     }
     if (names.empty())
-        usage(argv[0]);
+        tool.usageError("missing workload");
 
     // Resolve the execution tier exactly once per invocation: the flag
     // wins over MPC_EXEC_TIER, and the pin keeps every downstream
@@ -128,19 +130,6 @@ main(int argc, char **argv)
     kisa::pinExecTier(exec_tier.has_value() ? *exec_tier
                                             : kisa::execTierFromEnv());
 
-    harness::TuneOptions opts;
-    if (config_name == "base")
-        opts.config = sys::baseConfig();
-    else if (config_name == "1ghz")
-        opts.config = sys::oneGHzConfig();
-    else if (config_name == "exemplar")
-        opts.config = sys::exemplarConfig();
-    else
-        usage(argv[0]);
-    opts.procs = procs;
-    opts.simBudget = budget;
-    opts.cacheDir = cache_dir;
-    opts.threads = jobs;
     opts.scale = size.scale;
     if (!json_prefix.empty())
         std::filesystem::create_directories(json_prefix);
@@ -166,7 +155,7 @@ main(int argc, char **argv)
             std::fprintf(stderr, "mpctune: wrote %s\n", path.c_str());
         }
     }
-    if (!cache_dir.empty())
+    if (!opts.cacheDir.empty())
         std::fprintf(stderr,
                      "mpctune: cache %d hit(s), %d miss(es)\n",
                      total_hits, total_misses);
