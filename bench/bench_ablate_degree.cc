@@ -23,7 +23,6 @@ harness::RunSpec
 forcedSpec(int max_unroll)
 {
     harness::RunSpec spec;
-    spec.config = bench::applyStepMode(spec.config);
     spec.clustered = max_unroll > 1;
     spec.maxUnroll = max_unroll;
     return spec;

@@ -27,7 +27,7 @@ main()
             harness::PairJob job;
             job.label = std::string(name) + "/" + label;
             job.workload = workloads::makeByName(name, size);
-            job.config = bench::applyStepMode(sys::baseConfig());
+            job.config = sys::baseConfig();
             job.config.membus.interleave = policy;
             job.procs = 1;
             job.scale = size.scale;

@@ -22,7 +22,7 @@ main()
             harness::PairJob job;
             job.label = std::string(name) + "/lp" + std::to_string(mshrs);
             job.workload = workloads::makeByName(name, size);
-            job.config = bench::applyStepMode(sys::baseConfig());
+            job.config = sys::baseConfig();
             job.config.hier.l1.numMshrs = mshrs;
             job.config.hier.l2.numMshrs = mshrs;
             job.procs = 1;

@@ -55,8 +55,7 @@ runVariant(const workloads::Workload &w, bool transform, bool schedule)
         codegen::lowerForCores(kernel, 1, schedule, leading);
     kisa::MemoryImage image;
     w.init(image);
-    auto config = bench::applyStepMode(
-        harness::scaleConfig(sys::baseConfig(), w));
+    const auto config = harness::scaleConfig(sys::baseConfig(), w);
     sys::System system(config, std::move(programs), image);
     return system.run().cycles;
 }

@@ -4,9 +4,6 @@
  *
  *  - scale selection via MPC_SCALE (1 = quick, 2 = default paper-shape
  *    runs, 3 = large);
- *  - step-mode selection via MPC_STEP_MODE ("reference" forces the
- *    cycle-step loop; anything else keeps quiescence skip-ahead on —
- *    results are bit-identical either way);
  *  - parallel experiment execution on harness::ParallelRunner (thread
  *    count via MPC_JOBS), with per-run wall-clock/sim-rate reporting;
  *  - machine-readable BENCH_<name>.json emission.
@@ -22,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "harness/manifest.hh"
 #include "harness/parallel.hh"
 #include "harness/report.hh"
@@ -31,33 +29,21 @@
 namespace mpc::bench
 {
 
+/** MPC_SCALE as workload sizes: "1", "2" or "3"; unset or empty
+ *  means 2, and any other value is fatal. */
 inline workloads::SizeParams
 scaleFromEnv()
 {
     workloads::SizeParams size;
     size.scale = 2;
-    if (const char *env = std::getenv("MPC_SCALE"))
-        size.scale = std::atoi(env);
-    if (size.scale < 1 || size.scale > 3)
-        size.scale = 2;
+    const char *env = std::getenv("MPC_SCALE");
+    if (env == nullptr || *env == '\0')
+        return size;
+    const std::string value = env;
+    if (value != "1" && value != "2" && value != "3")
+        fatal("MPC_SCALE: expected 1, 2 or 3, got '%s'", env);
+    size.scale = value[0] - '0';
     return size;
-}
-
-/** True when MPC_STEP_MODE=reference requests the cycle-step loop. */
-inline bool
-referenceStepMode()
-{
-    const char *env = std::getenv("MPC_STEP_MODE");
-    return env != nullptr && std::string(env) == "reference";
-}
-
-/** Apply the MPC_STEP_MODE knob to a system configuration. */
-inline sys::SystemConfig
-applyStepMode(sys::SystemConfig config)
-{
-    if (referenceStepMode())
-        config.skipAhead = false;
-    return config;
 }
 
 /** One timed run for the JSON report. */
@@ -89,8 +75,6 @@ writeBenchJson(const std::string &path, const std::string &bench,
     std::fprintf(f, "  \"manifest\": %s,\n", manifest_json.c_str());
     std::fprintf(f, "  \"bench\": \"%s\",\n", bench.c_str());
     std::fprintf(f, "  \"scale\": %d,\n", scaleFromEnv().scale);
-    std::fprintf(f, "  \"stepMode\": \"%s\",\n",
-                 referenceStepMode() ? "reference" : "skip");
     std::fprintf(f, "  \"threads\": %d,\n", threads);
     std::fprintf(f, "  \"totalWallSeconds\": %.6f,\n", total_wall_seconds);
     std::fprintf(f, "  \"runs\": [\n");
@@ -117,10 +101,10 @@ struct AppRunResults
     std::vector<harness::RunTiming> clustTimings;
     int threads = 1;
     double totalWallSeconds = 0.0;
-    /** The (step-mode-applied) configuration the sweep ran under and
-     *  the processor count for provenance (0 = apps ran at their own
-     *  defaultProcs), so the report helpers can build the invocation
-     *  manifest with the bench's name. */
+    /** The configuration the sweep ran under and the processor count
+     *  for provenance (0 = apps ran at their own defaultProcs), so the
+     *  report helpers can build the invocation manifest with the
+     *  bench's name. */
     sys::SystemConfig config;
     int manifestProcs = 1;
 };
@@ -143,7 +127,6 @@ runApps(const std::vector<std::string> &names,
         const sys::SystemConfig &config, bool multiprocessor,
         const workloads::SizeParams &size)
 {
-    const sys::SystemConfig cfg = applyStepMode(config);
     std::vector<harness::PairJob> jobs;
     for (const auto &name : names) {
         auto w = workloads::makeByName(name, size);
@@ -155,7 +138,7 @@ runApps(const std::vector<std::string> &names,
                                 ? "/" + std::to_string(procs) + "p"
                                 : "");
         job.workload = std::move(w);
-        job.config = cfg;
+        job.config = config;
         job.procs = procs;
         job.scale = size.scale;
         jobs.push_back(std::move(job));
@@ -173,7 +156,7 @@ runApps(const std::vector<std::string> &names,
     AppRunResults out;
     out.threads = runner.threads();
     out.totalWallSeconds = std::chrono::duration<double>(t1 - t0).count();
-    out.config = cfg;
+    out.config = config;
     out.manifestProcs = multiprocessor ? 0 : 1;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         out.names.push_back(jobs[i].label);
@@ -186,8 +169,9 @@ runApps(const std::vector<std::string> &names,
 
 /**
  * Print per-run host timing (to stderr — stdout carries only
- * deterministic simulated results, so skip-vs-reference diffs of a
- * bench's stdout stay byte-clean) and emit BENCH_<bench>.json.
+ * deterministic simulated results, so diffs of a bench's stdout across
+ * thread counts and builds stay byte-clean) and emit
+ * BENCH_<bench>.json.
  */
 inline void
 reportTimings(const std::string &bench, const AppRunResults &r)
@@ -220,7 +204,7 @@ reportTimings(const std::string &bench, const AppRunResults &r)
  * Equations 1-4 next to measured MLP) and write the structured twin,
  * MODEL_VS_MEASURED_<bench>.json, beside BENCH_<bench>.json. Both come
  * from the same RunResult histograms, so stdout stays byte-identical
- * across step modes and MPC_OBS settings.
+ * across MPC_OBS settings.
  */
 inline void
 reportModelVsMeasured(const std::string &bench, const AppRunResults &r)

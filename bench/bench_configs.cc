@@ -79,6 +79,8 @@ int
 main()
 {
     using namespace mpc;
+    // Read MPC_SCALE first: a bad value fails before anything prints.
+    const auto size = bench::scaleFromEnv();
     std::printf("=== E7: system configurations (paper Table 1) ===\n\n");
     printConfig(sys::baseConfig());
     printConfig(sys::oneGHzConfig());
@@ -86,8 +88,7 @@ main()
 
     std::printf("=== E7: workload inputs (paper Table 2, scaled; "
                 "MPC_SCALE=%d) ===\n\n",
-                bench::scaleFromEnv().scale);
-    const auto size = bench::scaleFromEnv();
+                size.scale);
     auto print_workload = [](const workloads::Workload &w) {
         std::uint64_t bytes = 0;
         for (const auto &array : w.kernel.arrays)

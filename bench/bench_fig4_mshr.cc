@@ -22,7 +22,7 @@ main()
     jobs[1].workload = workloads::makeLu(size);
     for (auto &job : jobs) {
         job.label = job.workload.name;
-        job.config = bench::applyStepMode(sys::baseConfig());
+        job.config = sys::baseConfig();
         job.procs = job.workload.defaultProcs;
         job.scale = size.scale;
     }
@@ -46,8 +46,7 @@ main()
     // stamped with the invocation's provenance (procs 0: the two apps
     // run at their own default processor counts).
     const std::string manifest =
-        harness::makeInvocationManifest(
-            "fig4_mshr", bench::applyStepMode(sys::baseConfig()), 0)
+        harness::makeInvocationManifest("fig4_mshr", sys::baseConfig(), 0)
             .toJson();
     if (!harness::writeFig4Json("FIG4_mshr.json", labels, runs,
                                 manifest))

@@ -23,7 +23,7 @@ main()
 {
     using namespace mpc;
     const auto size = bench::scaleFromEnv();
-    const auto config = bench::applyStepMode(sys::baseConfig());
+    const auto config = sys::baseConfig();
 
     struct Row
     {

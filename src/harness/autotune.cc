@@ -19,7 +19,7 @@ namespace mpc::harness
 namespace
 {
 
-/** "spec=... config=... tier=..." provenance line for the stderr
+/** "spec=... config=..." provenance line for the stderr
  *  cache-hit echo, from a stored entry's run manifest. Empty when the
  *  manifest is missing (a hand-seeded store entry). */
 std::string
@@ -30,10 +30,9 @@ manifestSummary(const std::string &manifest_json)
         man.t != json::Value::T::Obj)
         return "";
     const std::string pipe = json::strField(man, "pipeline");
-    return strprintf("spec=%s config=%s tier=%s",
+    return strprintf("spec=%s config=%s",
                      pipe.empty() ? "(base)" : pipe.c_str(),
-                     json::strField(man, "configHash").c_str(),
-                     json::strField(man, "execTier").c_str());
+                     json::strField(man, "configHash").c_str());
 }
 
 /** The default-everything spec body the degree/factor variants edit. */

@@ -6,7 +6,6 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "harness/manifest.hh"
-#include "kisa/exec_threaded.hh"
 
 namespace mpc::harness
 {
@@ -114,8 +113,6 @@ runManifestFromJson(const json::Value &v, RunManifest &m)
     m.configHash = hexField(v, "configHash");
     m.procs = intField(v, "procs", 1);
     m.pipeline = json::strField(v, "pipeline");
-    m.execTier = json::strField(v, "execTier");
-    m.stepMode = json::strField(v, "stepMode");
     m.obs = json::boolField(v, "obs");
     m.validate = json::boolField(v, "validate");
     m.samplePeriod = tickField(v, "samplePeriod");
@@ -134,13 +131,11 @@ jobKeyText(const workloads::Workload &workload, const RunSpec &spec,
     const int procs = std::max(spec.procs, 1);
     return configKey(scaled, procs) +
            strprintf("|workload=%s|scale=%d|clustered=%d|unroll=%d"
-                     "|maxCycles=%llu|pipeline=%s|tier=%s|step=%s",
+                     "|maxCycles=%llu|pipeline=%s",
                      workload.name.c_str(), scale,
                      spec.clustered ? 1 : 0, spec.maxUnroll,
                      static_cast<unsigned long long>(spec.maxCycles),
-                     spec.pipeline.c_str(),
-                     kisa::execTierName(kisa::execTierFromEnv()),
-                     spec.config.skipAhead ? "skip" : "reference");
+                     spec.pipeline.c_str());
 }
 
 std::string

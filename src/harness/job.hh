@@ -6,7 +6,7 @@
  *  - The content key of a (workload, scale, RunSpec) run is composed
  *    from the run manifest's fields (harness/manifest.hh) — FNV-1a of
  *    the UNtransformed kernel IR text x FNV-1a of configKey() of the
- *    scaled config plus a spec/tier/step tail — two 16-digit hex
+ *    scaled config plus a workload/scale/spec tail — two 16-digit hex
  *    halves, computable without simulating or profiling anything.
  *  - JobResult carries the RunResult counters and histograms the
  *    figure benches print, the DriverReport, and the run manifest
@@ -38,8 +38,8 @@ namespace mpc::harness
 /**
  * The composition string the second key half hashes (exposed for tests
  * and key-debugging): configKey() of the scaled config plus the
- * workload/scale/spec/step tail and the ambient execution tier. The
- * kernel text is hashed separately into the first half.
+ * workload/scale/spec tail. The kernel text is hashed separately into
+ * the first half.
  */
 std::string jobKeyText(const workloads::Workload &workload,
                        const RunSpec &spec, int scale);

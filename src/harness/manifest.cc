@@ -4,7 +4,6 @@
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "kisa/exec_threaded.hh"
 
 namespace mpc::harness
 {
@@ -31,8 +30,6 @@ RunManifest::toJson() const
         .field("configHash", json::hex64(configHash))
         .field("procs", procs)
         .field("pipeline", pipeline)
-        .field("execTier", execTier)
-        .field("stepMode", stepMode)
         .field("obs", obs)
         .field("validate", validate)
         .field("samplePeriod", static_cast<std::uint64_t>(samplePeriod))
@@ -115,8 +112,6 @@ commonManifest(const sys::SystemConfig &config, int procs)
     m.configName = config.name;
     m.configHash = configHash(config, procs);
     m.procs = procs;
-    m.execTier = kisa::execTierName(kisa::execTierFromEnv());
-    m.stepMode = config.skipAhead ? "skip" : "reference";
     m.obs = config.obsMetrics;
     m.validate = config.validate;
     m.samplePeriod = config.samplePeriod;

@@ -2,21 +2,21 @@
  * @file
  * RunManifest: the provenance record embedded in every JSON artifact
  * the harness and benches emit (BENCH_*.json, MODEL_VS_MEASURED_*.json,
- * FIG4_mshr.json, SAMPLES time series, and the autotune result cache).
+ * FIG4_mshr.json, SAMPLES time series, and result-store entries).
  *
  * An artifact without provenance is a number without units: once a
  * sweep leaves hundreds of JSON files, nothing but the
- * manifest says which kernel text, machine configuration, pipeline
- * spec, execution tier, and step mode produced each one. The manifest
+ * manifest says which kernel text, machine configuration, and pipeline
+ * spec produced each one. The manifest
  * identifies a run by content hashes — FNV-1a of the final
  * (transformed) kernel IR text and of the simulation-relevant
  * configuration fields — so two artifacts disagree exactly when their
- * inputs did. mpcreport cross-checks manifests when merging artifacts
- * and warns on mismatches.
+ * inputs did. mpcreport cross-checks the config hashes of each
+ * workload's artifacts when merging them and warns on mismatches.
  *
  * configKey() is the single source of truth for "the configuration
  * fields a simulation result depends on"; the Job layer (job.hh)
- * appends its spec/tier/maxCycles tail to the same string to form
+ * appends its workload/scale/spec tail to the same string to form
  * ResultStore content keys, so a config edit anywhere moves every
  * dependent store key.
  */
@@ -51,8 +51,6 @@ struct RunManifest
     int procs = 1;
     /** Pipeline spec ("" = base / untransformed). */
     std::string pipeline;
-    std::string execTier;   ///< "interp" | "threaded"
-    std::string stepMode;   ///< "skip" | "reference"
     bool obs = false;       ///< metrics collectors attached
     bool validate = false;  ///< validation layer attached
     Tick samplePeriod = 0;  ///< epoch sampler period (0 = off)

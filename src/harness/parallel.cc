@@ -35,8 +35,7 @@ ParallelRunner::defaultThreads()
 void
 ParallelRunner::run(const std::vector<std::function<void()>> &jobs,
                     const std::vector<std::string> &labels,
-                    std::vector<double> *wall_seconds,
-                    int retries) const
+                    std::vector<double> *wall_seconds) const
 {
     if (wall_seconds != nullptr)
         wall_seconds->assign(jobs.size(), 0.0);
@@ -55,31 +54,21 @@ ParallelRunner::run(const std::vector<std::function<void()>> &jobs,
             const std::size_t i = next.fetch_add(1);
             if (i >= jobs.size())
                 return;
-            // A job is charged as failed only after every attempt is
-            // exhausted: a retried-then-succeeded job is a success,
-            // and its wall slot settles once — with the successful
-            // attempt's time, not the sum over failed tries.
-            for (int attempt = 0; attempt <= retries; ++attempt) {
-                const auto t0 = std::chrono::steady_clock::now();
-                try {
-                    jobs[i]();
-                    if (wall_seconds != nullptr)
-                        (*wall_seconds)[i] =
-                            std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-                    break;
-                } catch (...) {
-                    if (attempt < retries)
-                        continue;
-                    // Final attempt failed: record the first failure;
-                    // later jobs still run so every result slot
-                    // settles before we rethrow.
-                    ++failures;
-                    if (!failed.exchange(true)) {
-                        first_error = std::current_exception();
-                        first_index = i;
-                    }
+            const auto t0 = std::chrono::steady_clock::now();
+            try {
+                jobs[i]();
+                if (wall_seconds != nullptr)
+                    (*wall_seconds)[i] =
+                        std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+            } catch (...) {
+                // Record the first failure; later jobs still run so
+                // every result slot settles before we rethrow.
+                ++failures;
+                if (!failed.exchange(true)) {
+                    first_error = std::current_exception();
+                    first_index = i;
                 }
             }
         }

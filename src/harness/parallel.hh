@@ -56,18 +56,12 @@ class ParallelRunner
      *
      * @p wall_seconds, when non-null, is resized to jobs.size() and
      * receives each job's host wall-time by job index — the single
-     * timing source the benches report (keyed by label).
-     *
-     * @p retries re-runs a throwing job up to that many extra times on
-     * the same worker before it counts as failed. A job that retries
-     * and then succeeds is NOT a failure: it contributes no failure
-     * count, and its wall_seconds slot settles exactly once, with the
-     * successful attempt's time (failed attempts are not billed).
+     * timing source the benches report (keyed by label). A failed
+     * job's slot stays 0.
      */
     void run(const std::vector<std::function<void()>> &jobs,
              const std::vector<std::string> &labels = {},
-             std::vector<double> *wall_seconds = nullptr,
-             int retries = 0) const;
+             std::vector<double> *wall_seconds = nullptr) const;
 
   private:
     int threads_;

@@ -150,9 +150,7 @@ CacheProfile::measure(const kisa::Program &program,
     TagCache cache(geometry);
     FlatCounts tallies;
     // Statically-typed hook: inlines into the execution loop instead
-    // of paying a std::function dispatch per memory access. The tier
-    // (MPC_EXEC_TIER) only changes how fast the replay runs; both
-    // backends report the identical access stream.
+    // of paying a std::function dispatch per memory access.
     kisa::executeWithHook(
         program, scratch,
         [&](int, const kisa::Instr &instr, Addr addr, bool) {

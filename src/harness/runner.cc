@@ -255,7 +255,6 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
             const std::string &vt = out.report.verifyTier;
             const char *verify_name =
                 vt == "threaded"    ? "verify/threaded"
-                : vt == "interp"    ? "verify/interp"
                 : vt == "evaluator" ? "verify/evaluator"
                                     : nullptr;
             Tick now = 0;

@@ -1,21 +1,9 @@
 #include "kisa/exec_threaded.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #include "common/logging.hh"
 
 namespace mpc::kisa
 {
-
-namespace
-{
-
-// -1 = unpinned (consult the environment); otherwise the pinned tier.
-std::atomic<int> g_tier_pin{-1};
-
-} // namespace
 
 // The handler table (and the computed-goto label table in the header)
 // enumerate every opcode by its enum value; adding an opcode without
@@ -27,41 +15,6 @@ static_assert(static_cast<int>(Op::Halt) == 45,
 static_assert(detail::numHandlers == 53,
               "one handler per opcode, the trap fallback, and six "
               "fused superinstructions");
-
-ExecTier
-execTierFromEnv()
-{
-    const int pin = g_tier_pin.load(std::memory_order_relaxed);
-    if (pin >= 0)
-        return static_cast<ExecTier>(pin);
-    const char *env = std::getenv("MPC_EXEC_TIER");
-    if (env == nullptr || *env == '\0')
-        return ExecTier::Threaded;
-    if (std::strcmp(env, "interp") == 0)
-        return ExecTier::Interp;
-    if (std::strcmp(env, "threaded") == 0)
-        return ExecTier::Threaded;
-    fatal("MPC_EXEC_TIER: unknown tier '%s' (expected interp|threaded)",
-          env);
-}
-
-void
-pinExecTier(ExecTier tier)
-{
-    g_tier_pin.store(static_cast<int>(tier), std::memory_order_relaxed);
-}
-
-void
-clearExecTierPin()
-{
-    g_tier_pin.store(-1, std::memory_order_relaxed);
-}
-
-bool
-execTierPinned()
-{
-    return g_tier_pin.load(std::memory_order_relaxed) >= 0;
-}
 
 const char *
 execTierName(ExecTier tier)

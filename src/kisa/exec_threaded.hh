@@ -21,11 +21,11 @@
  * ones. The differential tests (test_exec.cc) assert register files,
  * memory images, and array checksums bit-identical across tiers.
  *
- * Tier selection is environmental: MPC_EXEC_TIER=interp|threaded
- * (default threaded) read by execTierFromEnv(), and the execute() /
- * executeWithHook() entry points below run a program set on whichever
- * tier is selected. The memory hook is a template parameter exactly as
- * in Interpreter::runWithHook, so profiling callers pay an inlined call
+ * Every production caller runs this tier. The execute() /
+ * executeWithHook() entry points below default to it and take an
+ * explicit ExecTier::Interp only from tests, which use step() as the
+ * oracle. The memory hook is a template parameter exactly as in
+ * Interpreter::runWithHook, so profiling callers pay an inlined call
  * per access on either tier.
  */
 
@@ -53,30 +53,13 @@ enum class ExecTier
     Threaded,   ///< predecoded threaded-code tier (this file)
 };
 
-/**
- * Tier selected by the process-wide pin when set (pinExecTier), else by
- * MPC_EXEC_TIER ("interp" | "threaded"; unset or empty means threaded;
- * anything else is fatal). The environment is read fresh on every
- * unpinned call — no static cache — so tests can flip the knob with
- * setenv.
- */
-ExecTier execTierFromEnv();
-
-/**
- * Pin the tier for the whole process, overriding MPC_EXEC_TIER until
- * clearExecTierPin(). Tools that take a --exec-tier flag resolve the
- * flag/environment precedence ONCE at startup and pin the result, so a
- * run cannot mix tiers if the environment changes mid-invocation (and
- * a flag always beats an inherited environment variable).
- */
-void pinExecTier(ExecTier tier);
-void clearExecTierPin();
-
-/** Is a pin currently in force? (tests) */
-bool execTierPinned();
-
 /** "interp" or "threaded". */
 const char *execTierName(ExecTier tier);
+
+// perfbench still pins and records the tier; these shims keep it
+// building until it drops the calls. The tier is always Threaded.
+inline void pinExecTier(ExecTier) {}
+inline ExecTier execTierFromEnv() { return ExecTier::Threaded; }
 
 namespace detail
 {
@@ -810,7 +793,7 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
  * Functionally execute @p count programs (one core each) against
  * @p mem on @p tier, calling @p hook for every memory access. This is
  * the single entry point the profiler, the pipeline verifier, and the
- * benches route through; the default tier comes from MPC_EXEC_TIER.
+ * benches route through; tests pass ExecTier::Interp for the oracle.
  * @return total dynamic instructions executed.
  */
 template <typename Hook>
@@ -818,7 +801,7 @@ std::uint64_t
 executeWithHook(const Program *const *programs, std::size_t count,
                 MemoryImage &mem, Hook &&hook,
                 std::uint64_t max_steps = 1ull << 32,
-                ExecTier tier = execTierFromEnv())
+                ExecTier tier = ExecTier::Threaded)
 {
     if (tier == ExecTier::Interp) {
         Interpreter interp(mem);
@@ -837,7 +820,7 @@ template <typename Hook>
 std::uint64_t
 executeWithHook(const Program &program, MemoryImage &mem, Hook &&hook,
                 std::uint64_t max_steps = 1ull << 32,
-                ExecTier tier = execTierFromEnv())
+                ExecTier tier = ExecTier::Threaded)
 {
     const Program *ptr = &program;
     return executeWithHook(&ptr, 1, mem, std::forward<Hook>(hook),
@@ -849,7 +832,7 @@ template <typename Hook>
 std::uint64_t
 executeWithHook(const std::vector<Program> &programs, MemoryImage &mem,
                 Hook &&hook, std::uint64_t max_steps = 1ull << 32,
-                ExecTier tier = execTierFromEnv())
+                ExecTier tier = ExecTier::Threaded)
 {
     std::vector<const Program *> ptrs;
     ptrs.reserve(programs.size());
@@ -859,14 +842,14 @@ executeWithHook(const std::vector<Program> &programs, MemoryImage &mem,
                            std::forward<Hook>(hook), max_steps, tier);
 }
 
-/** Hook-free execution on the selected tier. */
+/** Hook-free execution on @p tier. */
 std::uint64_t execute(const Program &program, MemoryImage &mem,
                       std::uint64_t max_steps = 1ull << 32,
-                      ExecTier tier = execTierFromEnv());
+                      ExecTier tier = ExecTier::Threaded);
 std::uint64_t execute(const std::vector<Program> &programs,
                       MemoryImage &mem,
                       std::uint64_t max_steps = 1ull << 32,
-                      ExecTier tier = execTierFromEnv());
+                      ExecTier tier = ExecTier::Threaded);
 
 } // namespace mpc::kisa
 

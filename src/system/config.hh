@@ -49,7 +49,8 @@ struct SystemConfig
      * Fast-forward simulated time to min(next event, next core wake)
      * instead of ticking every core every cycle. Results are
      * bit-identical either way (tests/test_fastpath.cc asserts it);
-     * false selects the reference cycle-step mode.
+     * false selects cycle-stepping, which only tests use, as the
+     * oracle for skip-ahead.
      */
     bool skipAhead = true;
 

@@ -141,9 +141,9 @@ struct PipelineReport
     std::vector<VerifyFailure> verifyFailures;
 
     /** Execution backend the functional equivalence checks ran on:
-     *  "interp" | "threaded" (kisa tiers) | "evaluator" (IR-level
-     *  fallback for kernels the lowered single-core run could block
-     *  on); empty when verification was off. */
+     *  "threaded" (the kisa tier) | "evaluator" (IR-level fallback for
+     *  kernels the lowered single-core run could block on); empty when
+     *  verification was off. */
     std::string verifyTier;
 
     /** Wall time of the pre-pipeline reference checksum run. */

@@ -600,8 +600,8 @@ syntheticallyEvaluable(const Kernel &kernel)
 
 /**
  * Verification engine for the functional equivalence checks. The hot
- * engines lower the kernel and execute the KISA program on a kisa
- * execution tier; the IR-level Evaluator remains as the fallback for
+ * engine lowers the kernel and executes the KISA program on the
+ * threaded tier; the IR-level Evaluator remains as the fallback for
  * kernels whose lowered single-core run could block (FlagWait lowers
  * to a real blocking wait, while the sequential IR semantics treat it
  * as a no-op).
@@ -609,7 +609,6 @@ syntheticallyEvaluable(const Kernel &kernel)
 enum class VerifyEngine
 {
     Evaluator,
-    KisaInterp,
     KisaThreaded,
 };
 
@@ -627,11 +626,8 @@ kernelHasFlagWait(const Kernel &kernel)
 VerifyEngine
 pickVerifyEngine(const Kernel &kernel)
 {
-    if (kernelHasFlagWait(kernel))
-        return VerifyEngine::Evaluator;
-    return kisa::execTierFromEnv() == kisa::ExecTier::Interp
-               ? VerifyEngine::KisaInterp
-               : VerifyEngine::KisaThreaded;
+    return kernelHasFlagWait(kernel) ? VerifyEngine::Evaluator
+                                     : VerifyEngine::KisaThreaded;
 }
 
 const char *
@@ -639,7 +635,6 @@ verifyEngineName(VerifyEngine engine)
 {
     switch (engine) {
       case VerifyEngine::Evaluator: return "evaluator";
-      case VerifyEngine::KisaInterp: return "interp";
       case VerifyEngine::KisaThreaded: return "threaded";
     }
     return "unknown";
@@ -676,10 +671,7 @@ evalChecksum(const Kernel &kernel,
         // Default CodegenOptions bake __procid=0/__nprocs=1, matching
         // the evaluator seeding above.
         const kisa::Program program = codegen::lower(clone);
-        kisa::execute(program, mem, 1ull << 32,
-                      engine == VerifyEngine::KisaInterp
-                          ? kisa::ExecTier::Interp
-                          : kisa::ExecTier::Threaded);
+        kisa::execute(program, mem);
     }
     return ir::checksumArrays(clone, mem);
 }
@@ -718,13 +710,9 @@ functionallyCheckable(const ir::Kernel &kernel, bool has_init)
 
 std::uint64_t
 functionalChecksum(const ir::Kernel &kernel,
-                   const std::function<void(kisa::MemoryImage &)> &init,
-                   std::string *engine_name)
+                   const std::function<void(kisa::MemoryImage &)> &init)
 {
-    const VerifyEngine engine = pickVerifyEngine(kernel);
-    if (engine_name != nullptr)
-        *engine_name = verifyEngineName(engine);
-    return evalChecksum(kernel, init, engine);
+    return evalChecksum(kernel, init, pickVerifyEngine(kernel));
 }
 
 // --- execution -------------------------------------------------------
@@ -753,7 +741,7 @@ Pipeline::run(ir::Kernel &kernel, const DriverParams &params) const
     std::uint64_t ref_checksum = 0;
     // The engine is picked once per run from the input kernel, so the
     // reference and every post-pass checksum come from the same
-    // backend regardless of when MPC_EXEC_TIER is read elsewhere.
+    // backend.
     VerifyEngine engine = VerifyEngine::Evaluator;
     if (mode != VerifyMode::Off) {
         engine = pickVerifyEngine(kernel);

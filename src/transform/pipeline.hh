@@ -30,9 +30,9 @@
  * equivalence check against the pre-pipeline kernel: the kernel is
  * cloned, memory is initialized (through Pipeline::initMemory or a
  * deterministic synthetic fill), the kernel is lowered and executed
- * on the KISA tier selected by MPC_EXEC_TIER (kernels containing
- * FlagWait fall back to the IR evaluator, whose sequential semantics
- * treat waits as no-ops), and the array checksum must match the
+ * on the threaded KISA tier (kernels containing FlagWait fall back to
+ * the IR evaluator, whose sequential semantics treat waits as
+ * no-ops), and the array checksum must match the
  * pre-pipeline checksum — both sides always from the same engine. Since
  * every pass must be semantics-preserving, comparing each post-pass
  * checksum to the pipeline-input checksum names the first failing
@@ -180,16 +180,13 @@ bool functionallyCheckable(const ir::Kernel &kernel, bool has_init);
 /**
  * Execute @p kernel functionally and digest its array contents: the
  * same clone + layout + init + run + FNV checksum the per-pass
- * verifier uses, on the engine MPC_EXEC_TIER selects (kernels with
- * FlagWait fall back to the IR evaluator). Two kernels produced by
+ * verifier uses, on the threaded KISA tier (kernels with FlagWait
+ * fall back to the IR evaluator). Two kernels produced by
  * semantics-preserving transformations of one another digest equal.
- * @p engine_name, when non-null, receives "interp" | "threaded" |
- * "evaluator".
  */
 std::uint64_t functionalChecksum(
     const ir::Kernel &kernel,
-    const std::function<void(kisa::MemoryImage &)> &init,
-    std::string *engine_name = nullptr);
+    const std::function<void(kisa::MemoryImage &)> &init);
 
 } // namespace mpc::transform
 

@@ -4,7 +4,7 @@
  * KISA programs and hand-built corner cases run on both backends
  * (step()-interpreter and ThreadedExecutor), asserting bit-identical
  * register files, memory contents, instruction counts, and memory-hook
- * access streams. Also covers MPC_EXEC_TIER selection, the trap
+ * access streams. Also covers explicit tier selection, the trap
  * fallback (forged opcodes, out-of-range branch targets), the
  * superinstruction peephole (including branching into the middle of a
  * fused sequence), and the instruction-budget guard.
@@ -14,7 +14,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <random>
@@ -558,72 +557,6 @@ TEST(ExecSync, BarrierAndFlagWaitMatchInterpreter)
 
 // --- tier selection --------------------------------------------------
 
-TEST(ExecTier, EnvSelectsTier)
-{
-    setenv("MPC_EXEC_TIER", "interp", 1);
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Interp);
-    setenv("MPC_EXEC_TIER", "threaded", 1);
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Threaded);
-    setenv("MPC_EXEC_TIER", "", 1);
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Threaded);
-    unsetenv("MPC_EXEC_TIER");
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Threaded);
-    EXPECT_STREQ(execTierName(ExecTier::Interp), "interp");
-    EXPECT_STREQ(execTierName(ExecTier::Threaded), "threaded");
-}
-
-TEST(ExecTierDeathTest, UnknownTierIsFatal)
-{
-    EXPECT_EXIT(
-        {
-            setenv("MPC_EXEC_TIER", "jit", 1);
-            execTierFromEnv();
-        },
-        testing::ExitedWithCode(1), "unknown tier");
-    unsetenv("MPC_EXEC_TIER");
-}
-
-TEST(ExecTier, PinOverridesEnvironmentInBothOrders)
-{
-    // Order 1: flag resolved (pin) first, environment changes after.
-    // This is the mpclust/mpctune --exec-tier scenario: the tier is
-    // resolved once per invocation, so an env change mid-run (or an
-    // inherited variable) cannot produce a mixed-tier run.
-    unsetenv("MPC_EXEC_TIER");
-    pinExecTier(ExecTier::Interp);
-    EXPECT_TRUE(execTierPinned());
-    setenv("MPC_EXEC_TIER", "threaded", 1);
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Interp);
-
-    // Order 2: environment set first, then the pin (the flag) wins.
-    clearExecTierPin();
-    EXPECT_FALSE(execTierPinned());
-    setenv("MPC_EXEC_TIER", "interp", 1);
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Interp);
-    pinExecTier(ExecTier::Threaded);
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Threaded);
-
-    // Unpinned again: back to reading the environment fresh.
-    clearExecTierPin();
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Interp);
-    unsetenv("MPC_EXEC_TIER");
-    EXPECT_EQ(execTierFromEnv(), ExecTier::Threaded);
-}
-
-TEST(ExecTier, PinIsStableAcrossRepeatedCalls)
-{
-    // Every execute()/executeWithHook() default argument consults
-    // execTierFromEnv(); under a pin, consecutive calls must agree no
-    // matter how the environment flaps in between.
-    pinExecTier(ExecTier::Interp);
-    for (int i = 0; i < 4; ++i) {
-        setenv("MPC_EXEC_TIER", i % 2 == 0 ? "threaded" : "interp", 1);
-        EXPECT_EQ(execTierFromEnv(), ExecTier::Interp) << i;
-    }
-    clearExecTierPin();
-    unsetenv("MPC_EXEC_TIER");
-}
-
 TEST(ExecTier, ExecuteEntryPointHonorsExplicitTier)
 {
     const Program prog = daxpyLoop(16);
@@ -637,6 +570,8 @@ TEST(ExecTier, ExecuteEntryPointHonorsExplicitTier)
     for (int idx = 0; idx < 16; ++idx)
         EXPECT_EQ(mem_interp.ld64(0x20000 + 8 * idx),
                   mem_threaded.ld64(0x20000 + 8 * idx));
+    EXPECT_STREQ(execTierName(ExecTier::Interp), "interp");
+    EXPECT_STREQ(execTierName(ExecTier::Threaded), "threaded");
 }
 
 // --- instruction budget ----------------------------------------------

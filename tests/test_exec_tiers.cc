@@ -7,14 +7,14 @@
  * workload-scale counterpart of test_exec.cc's randomized fuzz: the
  * programs here come from the actual code generator, so they exercise
  * the operand patterns the superinstruction peephole was built for.
- * The cache profiler and the default clustering pipeline, which run on
- * the selected tier, must also give the same results on both.
+ * The memory-hook access streams of the base and the default-clustered
+ * programs, which the cache profiler and the pipeline verifier
+ * consume, must also agree on both tiers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -68,24 +68,48 @@ TEST_P(ExecTierWorkloads, UniprocessorBitIdenticalAcrossTiers)
     EXPECT_EQ(interp.second, threaded.second) << "array checksum";
 }
 
-/** What the tier-selected layers compute for one workload. */
-struct TierOutcome
+/** One tier's run of a program: the instruction count, the memory
+ *  hook stream folded with FNV-1a over (refId, address, load/store),
+ *  and the array checksum of the final image. */
+struct StreamOutcome
 {
-    std::vector<std::uint64_t> accesses;    ///< per profiled refId
-    std::vector<double> missRates;          ///< per profiled refId
-    std::uint64_t clusteredChecksum = 0;
+    std::uint64_t instructions = 0;
+    std::uint64_t accesses = 0;
+    std::uint64_t streamHash = 14695981039346656037ull;
+    std::uint64_t checksum = 0;
 };
 
-/**
- * With @p tier pinned: profile the base kernel at the workload's L2
- * geometry, cluster it with the default pipeline that profile drives,
- * and run the clustered kernel.
- */
-TierOutcome
-profileAndCluster(const Workload &w, kisa::ExecTier tier)
+StreamOutcome
+runStream(const Workload &w, const ir::Kernel &kernel,
+          const kisa::Program &program, kisa::ExecTier tier)
 {
-    kisa::pinExecTier(tier);
-    const kisa::Program base = codegen::lower(w.kernel);
+    StreamOutcome out;
+    const auto fold = [&out](std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            out.streamHash ^= (word >> (8 * byte)) & 0xff;
+            out.streamHash *= 1099511628211ull;
+        }
+    };
+    kisa::MemoryImage mem;
+    w.init(mem);
+    out.instructions = kisa::executeWithHook(
+        program, mem,
+        [&](int, const kisa::Instr &instr, Addr addr, bool is_load) {
+            ++out.accesses;
+            fold(instr.refId);
+            fold(addr);
+            fold(is_load ? 1 : 0);
+        },
+        1ull << 30, tier);
+    out.checksum = ir::checksumArrays(kernel, mem);
+    return out;
+}
+
+/** Profile @p base at the workload's L2 geometry and cluster the
+ *  kernel with the default pipeline that profile drives. */
+ir::Kernel
+defaultClustered(const Workload &w, const kisa::Program &base)
+{
     mem::CacheConfig geometry;
     geometry.sizeBytes = w.l2Bytes;
     geometry.assoc = 4;
@@ -93,16 +117,6 @@ profileAndCluster(const Workload &w, kisa::ExecTier tier)
     w.init(scratch);
     const auto profile =
         harness::CacheProfile::measure(base, scratch, geometry);
-
-    TierOutcome out;
-    std::set<std::uint32_t> ref_ids;
-    for (const kisa::Instr &in : base.code)
-        if (kisa::isMemOp(in.op))
-            ref_ids.insert(in.refId);
-    for (const std::uint32_t id : ref_ids) {
-        out.accesses.push_back(profile.accesses(static_cast<int>(id)));
-        out.missRates.push_back(profile.missRate(static_cast<int>(id)));
-    }
 
     transform::DriverParams params;
     params.bodySize = codegen::loweredBodySize;
@@ -115,29 +129,40 @@ profileAndCluster(const Workload &w, kisa::ExecTier tier)
     pipeline.initMemory = w.init;
     ir::Kernel kernel = w.kernel.clone();
     pipeline.run(kernel, params);
-
-    codegen::CodegenOptions options;
-    options.clusteredSchedule = true;
-    kisa::MemoryImage mem;
-    w.init(mem);
-    kisa::execute(codegen::lower(kernel, options), mem);
-    out.clusteredChecksum = ir::checksumArrays(kernel, mem);
-    kisa::clearExecTierPin();
-    return out;
+    return kernel;
 }
 
-TEST_P(ExecTierWorkloads, ProfileAndClusteringAgreeAcrossTiers)
+TEST_P(ExecTierWorkloads, AccessStreamsAgreeAcrossTiers)
 {
+    // The profiler and the pipeline verifier consume nothing but the
+    // hook stream and the final memory, so equal streams and checksums
+    // on both tiers mean both layers compute the same results.
     const Workload w = makeByName(GetParam(), tiny());
-    const TierOutcome interp =
-        profileAndCluster(w, kisa::ExecTier::Interp);
-    const TierOutcome threaded =
-        profileAndCluster(w, kisa::ExecTier::Threaded);
-    EXPECT_FALSE(interp.accesses.empty());
-    EXPECT_EQ(interp.accesses, threaded.accesses) << "per-refId accesses";
-    EXPECT_EQ(interp.missRates, threaded.missRates) << "per-refId miss rates";
-    EXPECT_EQ(interp.clusteredChecksum, threaded.clusteredChecksum)
-        << "clustered array checksum";
+    const kisa::Program base = codegen::lower(w.kernel);
+    const ir::Kernel clustered = defaultClustered(w, base);
+    codegen::CodegenOptions options;
+    options.clusteredSchedule = true;
+    const kisa::Program clust = codegen::lower(clustered, options);
+
+    const auto expectAgree = [&](const char *variant,
+                                 const ir::Kernel &kernel,
+                                 const kisa::Program &program) {
+        const StreamOutcome interp =
+            runStream(w, kernel, program, kisa::ExecTier::Interp);
+        const StreamOutcome threaded =
+            runStream(w, kernel, program, kisa::ExecTier::Threaded);
+        EXPECT_GT(interp.accesses, 0u) << variant;
+        EXPECT_EQ(interp.instructions, threaded.instructions)
+            << variant << " instruction count";
+        EXPECT_EQ(interp.accesses, threaded.accesses)
+            << variant << " access count";
+        EXPECT_EQ(interp.streamHash, threaded.streamHash)
+            << variant << " access stream";
+        EXPECT_EQ(interp.checksum, threaded.checksum)
+            << variant << " array checksum";
+    };
+    expectAgree("base", w.kernel, base);
+    expectAgree("clustered", clustered, clust);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, ExecTierWorkloads,

@@ -3,13 +3,17 @@
  * Fast-path validation: quiescence skip-ahead must be a pure host-side
  * optimization. Every simulated number — cycle counts, the per-core
  * stall-slot breakdown, cache/MSHR statistics, coherence traffic —
- * must be bit-identical between skip-ahead and the retained reference
- * cycle-step mode. Also covers the parallel experiment scheduler:
+ * must be bit-identical between skip-ahead and cycle-stepping
+ * (SystemConfig::skipAhead = false), which only these tests select.
+ * Every figure-bench pair of Figures 3(a) and 3(b) is compared at
+ * scale 1. Also covers the parallel experiment scheduler:
  * stable result ordering and determinism at any thread count.
  */
 
 #include <functional>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -150,22 +154,58 @@ expectModeEquivalence(const std::string &app, int procs, bool clustered)
                        runMode(app, procs, clustered, false));
 }
 
-TEST(SkipAhead, UniprocessorBitIdentical)
+/** A figure-bench pair: an app at the processor count its figure runs
+ *  it at, 1 for Figure 3(b) and the app's default for Figure 3(a). */
+struct FigurePair
 {
-    // Ocean: stencil loads; MST: pointer chases with long stalls
-    // (the skip-heavy shape); Mp3d: large-body window pressure.
-    expectModeEquivalence("ocean", 1, false);
-    expectModeEquivalence("mst", 1, false);
-    expectModeEquivalence("mp3d", 1, false);
+    std::string app;
+    int procs = 1;
+};
+
+void
+PrintTo(const FigurePair &pair, std::ostream *os)
+{
+    *os << pair.app << " at " << pair.procs << "p";
 }
 
-TEST(SkipAhead, UniprocessorClusteredBitIdentical)
+/** Every pair bench_fig3b_uni and bench_fig3a_multi run, at scale 1. */
+std::vector<FigurePair>
+figurePairs()
 {
-    // Transformed kernels cluster misses, creating the long quiescent
-    // stretches skip-ahead exploits; attribution must still match.
-    expectModeEquivalence("ocean", 1, true);
-    expectModeEquivalence("em3d", 1, true);
+    const char *const apps[] = {"em3d", "erlebacher", "fft", "lu",
+                                "mp3d", "mst",        "ocean"};
+    workloads::SizeParams size;
+    size.scale = 1;
+    std::vector<FigurePair> pairs;
+    for (const char *app : apps)
+        pairs.push_back({app, 1});
+    for (const char *app : apps)
+        if (const int procs = workloads::makeByName(app, size).defaultProcs;
+            procs > 0)
+            pairs.push_back({app, procs});
+    return pairs;
 }
+
+class SkipAheadFigurePairs : public ::testing::TestWithParam<FigurePair>
+{};
+
+TEST_P(SkipAheadFigurePairs, BaseAndClusteredBitIdentical)
+{
+    // What the figure benches print comes from these runs: the
+    // cycle-stepping oracle must reproduce every counter of both
+    // variants. Clustered kernels create the long quiescent stretches
+    // skip-ahead exploits; barriers and flags exercise its sync wakes.
+    const FigurePair &pair = GetParam();
+    expectModeEquivalence(pair.app, pair.procs, false);
+    expectModeEquivalence(pair.app, pair.procs, true);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fig3, SkipAheadFigurePairs, ::testing::ValuesIn(figurePairs()),
+    [](const ::testing::TestParamInfo<FigurePair> &info) {
+        return info.param.app + "_" + std::to_string(info.param.procs) +
+               "p";
+    });
 
 TEST(SkipAhead, MultiprocessorBitIdentical)
 {

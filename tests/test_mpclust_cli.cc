@@ -3,10 +3,11 @@
  * Command-line contract of the mpclust and mpctune drivers: --help
  * succeeds with the usage on stdout, and unknown options, workloads or
  * malformed values fail with exit status 2 and a message naming them,
- * before any simulation runs.
+ * before any simulation runs. The benches' MPC_SCALE gets the same
+ * treatment: a bad value is fatal before anything is printed.
  *
- * Runs the real binaries (paths baked in by CMake as MPCLUST_BIN and
- * MPCTUNE_BIN).
+ * Runs the real binaries (paths baked in by CMake as MPCLUST_BIN,
+ * MPCTUNE_BIN and BENCH_CONFIGS_BIN).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace
 {
@@ -37,9 +39,11 @@ slurp(const std::string &path)
     return text.str();
 }
 
-/** Run `<bin> <args>`, capturing stdout and stderr separately. */
+/** Run `<env> <bin> <args>`, capturing stdout and stderr separately;
+ *  @p env holds shell variable assignments. */
 CliRun
-runTool(const char *bin, const std::string &args)
+runTool(const char *bin, const std::string &args,
+        const std::string &env = "")
 {
     // ctest runs each case in its own process, possibly concurrently:
     // name the capture files after the running test.
@@ -49,7 +53,7 @@ runTool(const char *bin, const std::string &args)
                              test->test_suite_name() + "_" + test->name();
     const std::string out_path = stem + ".out";
     const std::string err_path = stem + ".err";
-    const std::string cmd = std::string("'") + bin + "' " + args + " >'" +
+    const std::string cmd = env + " '" + bin + "' " + args + " >'" +
                             out_path + "' 2>'" + err_path + "'";
     const int raw = std::system(cmd.c_str());
     CliRun run;
@@ -59,6 +63,11 @@ runTool(const char *bin, const std::string &args)
     run.err = slurp(err_path);
     return run;
 }
+
+/** Options both drivers once accepted, with a value each: they are
+ *  unknown now. */
+const std::pair<std::string, std::string> kRetiredOptions[] = {
+    {"--shards", "4"}, {"--exec-tier", "interp"}};
 
 CliRun
 runMpclust(const std::string &args)
@@ -85,12 +94,15 @@ TEST(MpclustCli, HelpPrintsUsageToStdoutAndSucceeds)
 
 TEST(MpclustCli, UnknownOptionIsNamed)
 {
-    const CliRun run = runMpclust("ocean --shards 4");
-    EXPECT_EQ(run.status, 2);
-    EXPECT_NE(run.err.find("unknown option '--shards'"), std::string::npos)
-        << run.err;
-    EXPECT_NE(run.err.find("usage:"), std::string::npos);
-    EXPECT_EQ(run.out, "");
+    for (const auto &[option, value] : kRetiredOptions) {
+        const CliRun run = runMpclust("ocean " + option + " " + value);
+        EXPECT_EQ(run.status, 2) << option;
+        EXPECT_NE(run.err.find("unknown option '" + option + "'"),
+                  std::string::npos)
+            << run.err;
+        EXPECT_NE(run.err.find("usage:"), std::string::npos) << option;
+        EXPECT_EQ(run.out, "") << option;
+    }
 }
 
 TEST(MpclustCli, MalformedNumbersAreRejected)
@@ -160,10 +172,13 @@ TEST(MpctuneCli, BadConfigUnknownOptionAndMissingValueAreNamed)
               std::string::npos)
         << run.err;
 
-    run = runMpctune("latbench --shards 4");
-    EXPECT_EQ(run.status, 2);
-    EXPECT_NE(run.err.find("unknown option '--shards'"), std::string::npos)
-        << run.err;
+    for (const auto &[option, value] : kRetiredOptions) {
+        run = runMpctune("latbench " + option + " " + value);
+        EXPECT_EQ(run.status, 2) << option;
+        EXPECT_NE(run.err.find("unknown option '" + option + "'"),
+                  std::string::npos)
+            << run.err;
+    }
 
     run = runMpctune("latbench --budget");
     EXPECT_EQ(run.status, 2);
@@ -181,6 +196,37 @@ TEST(MpctuneCli, UnknownWorkloadIsRejectedBeforeAnyTuning)
         << run.err;
     EXPECT_NE(run.err.find("usage:"), std::string::npos);
     EXPECT_EQ(run.out, "");
+}
+
+TEST(BenchScale, BadMpcScaleIsFatalBeforeAnyOutput)
+{
+    for (const char *value : {"4", "abc", "0", "-1", "2x"}) {
+        const CliRun run = runTool(BENCH_CONFIGS_BIN, "",
+                                   std::string("MPC_SCALE='") + value +
+                                       "'");
+        EXPECT_EQ(run.status, 1) << value;
+        EXPECT_NE(run.err.find("MPC_SCALE"), std::string::npos)
+            << value << ": " << run.err;
+        EXPECT_NE(run.err.find(std::string("'") + value + "'"),
+                  std::string::npos)
+            << value << ": " << run.err;
+        EXPECT_EQ(run.out, "") << value;
+    }
+}
+
+TEST(BenchScale, ValidOrUnsetMpcScaleRuns)
+{
+    // bench_configs prints the scale it runs at; empty means unset.
+    for (const auto &[env, scale] :
+         {std::pair<std::string, int>{"MPC_SCALE=1", 1},
+          {"MPC_SCALE=3", 3}, {"MPC_SCALE=", 2},
+          {"env -u MPC_SCALE", 2}}) {
+        const CliRun run = runTool(BENCH_CONFIGS_BIN, "", env);
+        EXPECT_EQ(run.status, 0) << env << ": " << run.err;
+        EXPECT_NE(run.out.find("MPC_SCALE=" + std::to_string(scale) + ")"),
+                  std::string::npos)
+            << env;
+    }
 }
 
 } // namespace

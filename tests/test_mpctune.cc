@@ -201,7 +201,6 @@ TEST(Tune, StoreEntriesCarryByteStableManifestProvenance)
         // machines.
         EXPECT_EQ(json::strField(*man, "host"), "");
         EXPECT_EQ(json::strField(*man, "configHash"), expect_hash);
-        EXPECT_FALSE(json::strField(*man, "execTier").empty());
         EXPECT_FALSE(json::strField(*man, "kernelHash").empty());
         ++entries;
     }

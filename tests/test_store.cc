@@ -23,7 +23,6 @@
 #include "harness/manifest.hh"
 #include "harness/parallel.hh"
 #include "harness/store.hh"
-#include "kisa/exec_threaded.hh"
 #include "workloads/workload.hh"
 
 namespace mpc::harness
@@ -191,15 +190,9 @@ TEST(JobKey, EverySpecFieldFlipsTheKey)
     EXPECT_NE(key, mutated([](RunSpec &s) { s.maxCycles = 1000; }));
     EXPECT_NE(key,
               mutated([](RunSpec &s) { s.pipeline = "fuse,cluster"; }));
-    // The execution tier the run would use lands in the key's tier=
-    // term.
-    kisa::pinExecTier(kisa::ExecTier::Interp);
-    const std::string interp_key = jobKeyFor(w, base, 1);
-    kisa::pinExecTier(kisa::ExecTier::Threaded);
-    const std::string threaded_key = jobKeyFor(w, base, 1);
-    kisa::clearExecTierPin();
-    EXPECT_NE(interp_key, threaded_key);
-    EXPECT_NE(key,
+    // Cycle-stepping is bit-identical to skip-ahead (test_fastpath),
+    // so, like the obs and validate toggles, it must not move the key.
+    EXPECT_EQ(key,
               mutated([](RunSpec &s) { s.config.skipAhead = false; }));
     EXPECT_NE(key, mutated([](RunSpec &s) {
         s.config.hier.l2.numMshrs = 3;
@@ -277,8 +270,9 @@ TEST(JobResultJson, RoundTripPreservesCountersAndHistograms)
 
 TEST(JobResultJson, ManifestWithRetiredFieldStillParses)
 {
-    // Entries written before a manifest field was retired (e.g. the
-    // host-thread "shards" count) must keep serving as hits.
+    // Entries written before a manifest field was retired (the
+    // host-thread "shards" count, the exec tier and the step mode)
+    // must still parse.
     JobResult r;
     r.ok = true;
     r.result.cycles = 4242;
@@ -288,7 +282,8 @@ TEST(JobResultJson, ManifestWithRetiredFieldStillParses)
             .toJson();
     JobResult old = r;
     old.manifestJson.insert(old.manifestJson.find('{') + 1,
-                            "\"shards\": 4, ");
+                            "\"shards\": 4, \"execTier\": \"interp\", "
+                            "\"stepMode\": \"reference\", ");
 
     JobResult back;
     ASSERT_TRUE(JobResult::fromJson(old.toJson(), back));

@@ -19,10 +19,6 @@
  *                    separated pass names, e.g. "cluster,prefetch")
  *                    instead of the default driver pipeline
  *   --dump-ir MODE   dump the IR ("after-each-pass") while transforming
- *   --exec-tier T    functional-execution backend for profiling and
- *                    per-pass verification: interp | threaded.
- *                    Resolved once at startup: the flag wins over
- *                    $MPC_EXEC_TIER; default threaded.
  *   --list-passes    list the registered passes and exit
  *   --show-kernel    print the (transformed) kernel IR
  *   --show-refs      per-reference L2 access/miss counts (clustered run)
@@ -45,14 +41,12 @@
 
 #include <cstdio>
 #include <cstring>
-#include <optional>
 #include <string>
 
 #include "cli.hh"
 #include "codegen/codegen.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "kisa/exec_threaded.hh"
 #include "transform/pipeline.hh"
 #include "transform/transforms.hh"
 #include "workloads/workload.hh"
@@ -70,8 +64,7 @@ printUsage(std::FILE *out, const char *argv0)
                  "[--config base|1ghz|exemplar]\n"
                  "       [--base-only|--clust-only] [--prefetch N] "
                  "[--max-unroll N]\n"
-                 "       [--pipeline SPEC] [--dump-ir after-each-pass] "
-                 "[--exec-tier interp|threaded]\n"
+                 "       [--pipeline SPEC] [--dump-ir after-each-pass]\n"
                  "       [--show-kernel] [--show-refs] [--show-mshr] "
                  "[--show-metrics] [--trace PATH]\n"
                  "       | --list | --list-passes | --help\n",
@@ -146,7 +139,6 @@ main(int argc, char **argv)
     std::string trace_path;
     std::string pipeline_spec;
     std::string dump_ir;
-    std::optional<kisa::ExecTier> exec_tier;
 
     for (int a = 2; a < argc; ++a) {
         const std::string arg = argv[a];
@@ -187,26 +179,9 @@ main(int argc, char **argv)
             pipeline_spec = next();
         else if (arg == "--dump-ir")
             dump_ir = next();
-        else if (arg == "--exec-tier") {
-            const std::string tier = next();
-            if (tier == "interp")
-                exec_tier = kisa::ExecTier::Interp;
-            else if (tier == "threaded")
-                exec_tier = kisa::ExecTier::Threaded;
-            else
-                tool.usageError("bad --exec-tier '" + tier +
-                                "' (expected interp|threaded)");
-        } else
+        else
             tool.usageError("unknown option '" + arg + "'");
     }
-
-    // Resolve the execution tier exactly once per invocation: the flag
-    // wins over MPC_EXEC_TIER, and pinning the result means every
-    // downstream execTierFromEnv() call (profiler, pipeline
-    // verification, workload init) sees the same tier even if the
-    // environment changes mid-run.
-    kisa::pinExecTier(exec_tier.has_value() ? *exec_tier
-                                            : kisa::execTierFromEnv());
 
     if (!pipeline_spec.empty()) {
         // Validate eagerly for a clean CLI error before any run.

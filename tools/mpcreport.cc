@@ -17,9 +17,9 @@
  *
  * The report renders, per input kind:
  *  - a provenance table: every artifact's RunManifest (workload,
- *    config + hash, pipeline, exec tier, step mode), with warnings
- *    when the artifacts disagree on config hash, exec tier, or step
- *    mode — the mismatches that make cross-artifact comparisons lie;
+ *    config + hash, pipeline, procs), with a warning when artifacts of
+ *    one workload disagree on the config hash — the mismatch that
+ *    makes cross-artifact comparisons lie;
  *  - per samples file, the epoch timeline: mean MLP across nodes with
  *    a bar chart, busy fraction, and the stall-taxonomy stacked table
  *    (per-epoch deltas, which tile the run's aggregate taxonomy);
@@ -122,8 +122,7 @@ fmt(const char *format, ...)
 struct Manifest
 {
     bool present = false;
-    std::string workload, config, configHash, pipeline, execTier,
-        stepMode, kernelHash;
+    std::string workload, config, configHash, pipeline;
     int procs = 0;
 
     static Manifest
@@ -136,10 +135,7 @@ struct Manifest
         m.workload = mpc::json::strField(*v, "workload");
         m.config = mpc::json::strField(*v, "config");
         m.configHash = mpc::json::strField(*v, "configHash");
-        m.kernelHash = mpc::json::strField(*v, "kernelHash");
         m.pipeline = mpc::json::strField(*v, "pipeline");
-        m.execTier = mpc::json::strField(*v, "execTier");
-        m.stepMode = mpc::json::strField(*v, "stepMode");
         m.procs = static_cast<int>(mpc::json::numField(*v, "procs"));
         return m;
     }
@@ -157,7 +153,7 @@ struct Epoch
 struct Artifact
 {
     std::string path;
-    std::string kind;       ///< samples|bench|model|fig4|tune|jobresult
+    std::string kind;       ///< samples|bench|model|fig4|jobresult
     Manifest manifest;
     Value root;
 
@@ -229,8 +225,6 @@ classify(const Value &root)
     const std::string schema = mpc::json::strField(root, "schema");
     if (schema == "mpc-samples-v1")
         return "samples";
-    if (schema == "mpctune-cache-v1")
-        return "tune";
     if (schema == "mpc-jobresult-v1")
         return "jobresult";
     if (root.field("bench") != nullptr && root.field("runs") != nullptr)
@@ -251,63 +245,51 @@ reportManifests(const std::vector<Artifact> &artifacts)
     heading("artifact provenance");
     Table t;
     t.header = {"artifact", "kind", "workload", "config", "configHash",
-                "pipeline", "procs", "tier", "stepMode"};
+                "pipeline", "procs"};
     for (const Artifact &a : artifacts) {
         const Manifest &m = a.manifest;
         if (!m.present) {
-            t.rows.push_back({a.path, a.kind, "-", "-", "-", "-", "-",
-                              "-", "-"});
+            t.rows.push_back({a.path, a.kind, "-", "-", "-", "-", "-"});
             continue;
         }
-        t.rows.push_back(
-            {a.path, a.kind, m.workload, m.config, m.configHash,
-             m.pipeline.empty() ? "(base)" : m.pipeline,
-             std::to_string(m.procs), m.execTier, m.stepMode});
+        t.rows.push_back({a.path, a.kind, m.workload, m.config,
+                          m.configHash,
+                          m.pipeline.empty() ? "(base)" : m.pipeline,
+                          std::to_string(m.procs)});
     }
     t.print();
 
-    // Mismatch warnings: artifacts that disagree on these fields are
-    // not comparable, and the disagreement is exactly what a manifest
-    // exists to surface. Exec tier and step mode must agree globally;
-    // config hashes only within one workload — the harness scales the
-    // cache with the workload's input, so two workloads legitimately
-    // hash different configs.
-    const auto distinct = [&](auto get, const char *what,
-                              const std::string &workload) {
-        std::vector<std::string> seen;
-        for (const Artifact &a : artifacts) {
-            if (!a.manifest.present)
-                continue;
-            if (!workload.empty() && a.manifest.workload != workload)
-                continue;
-            const std::string v = get(a.manifest);
-            if (v.empty())
-                continue;
-            if (std::find(seen.begin(), seen.end(), v) == seen.end())
-                seen.push_back(v);
-        }
-        if (seen.size() > 1) {
-            std::string list;
-            for (const std::string &v : seen)
-                list += (list.empty() ? "" : ", ") + v;
-            std::printf("warning: artifacts%s%s disagree on %s: %s\n",
-                        workload.empty() ? "" : " for ",
-                        workload.c_str(), what, list.c_str());
-        }
-    };
-    distinct([](const Manifest &m) { return m.execTier; }, "exec tier",
-             "");
-    distinct([](const Manifest &m) { return m.stepMode; }, "step mode",
-             "");
+    // Mismatch warning: artifacts of one workload that disagree on the
+    // config hash are not comparable, and the disagreement is exactly
+    // what a manifest exists to surface. Hashes are compared only
+    // within one workload: the harness scales the cache with the
+    // workload's input, so two workloads legitimately hash different
+    // configs.
     std::vector<std::string> workloads;
     for (const Artifact &a : artifacts)
         if (a.manifest.present && !a.manifest.workload.empty() &&
             std::find(workloads.begin(), workloads.end(),
                       a.manifest.workload) == workloads.end())
             workloads.push_back(a.manifest.workload);
-    for (const std::string &w : workloads)
-        distinct([](const Manifest &m) { return m.configHash; },
-                 "config hash", w);
+    for (const std::string &w : workloads) {
+        std::vector<std::string> seen;
+        for (const Artifact &a : artifacts) {
+            const std::string &hash = a.manifest.configHash;
+            if (!a.manifest.present || a.manifest.workload != w ||
+                hash.empty())
+                continue;
+            if (std::find(seen.begin(), seen.end(), hash) == seen.end())
+                seen.push_back(hash);
+        }
+        if (seen.size() > 1) {
+            std::string list;
+            for (const std::string &hash : seen)
+                list += (list.empty() ? "" : ", ") + hash;
+            std::printf("warning: artifacts for %s disagree on config "
+                        "hash: %s\n",
+                        w.c_str(), list.c_str());
+        }
+    }
     int missing = 0;
     for (const Artifact &a : artifacts)
         missing += a.manifest.present ? 0 : 1;
@@ -454,7 +436,7 @@ reportStore(const std::vector<Artifact> &artifacts)
     heading(fmt("result store (%zu entries)", entries.size()));
     Table t;
     t.header = {"key", "workload", "config", "pipeline", "procs",
-                "tier", "cycles"};
+                "cycles"};
     for (const Artifact *a : entries) {
         // The key is the file stem of the sharded entry path.
         std::string key = a->path;
@@ -480,25 +462,10 @@ reportStore(const std::vector<Artifact> &artifacts)
                           m.present && !m.pipeline.empty() ? m.pipeline
                                                            : "(base)",
                           m.present ? std::to_string(m.procs) : "-",
-                          m.present ? m.execTier : "-", cycles});
+                          cycles});
     }
     std::sort(t.rows.begin(), t.rows.end());
     t.print();
-}
-
-void
-reportTune(const Artifact &a)
-{
-    heading(fmt("tune cache entry: %s", a.path.c_str()));
-    const Value *runs = a.root.field("runs");
-    if (runs == nullptr || runs->t != Value::T::Arr ||
-        runs->arr.empty())
-        return;
-    const Value &run = runs->arr[0];
-    std::printf("  spec %s: %.0f cycles, MLP %.2f\n",
-                mpc::json::strField(a.root, "spec").c_str(),
-                mpc::json::numField(run, "simCycles"),
-                mpc::json::numField(run, "mlp"));
 }
 
 } // namespace
@@ -603,8 +570,6 @@ main(int argc, char **argv)
             reportBench(a);
         else if (a.kind == "model")
             reportModel(a);
-        else if (a.kind == "tune")
-            reportTune(a);
     }
     reportStore(artifacts);
     reportPairs(artifacts);

@@ -20,9 +20,6 @@
  *                    (a directory; default: off)
  *   --jobs N         parallel simulations (default: MPC_JOBS or
  *                    hardware concurrency)
- *   --exec-tier T    functional-execution backend: interp | threaded.
- *                    Resolved once at startup: the flag wins over
- *                    $MPC_EXEC_TIER; default threaded.
  *   --help, -h       print the usage to stdout and exit
  *
  * Options and workloads are checked before any tuning starts. An
@@ -38,13 +35,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "cli.hh"
 #include "harness/autotune.hh"
-#include "kisa/exec_threaded.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -58,8 +53,7 @@ printUsage(std::FILE *out, const char *argv0)
                  "  [--scale N] [--procs N] [--config base|1ghz|"
                  "exemplar]\n"
                  "  [--budget N] [--cache DIR] [--json PREFIX] "
-                 "[--jobs N]\n"
-                 "  [--exec-tier interp|threaded] | --help\n",
+                 "[--jobs N] | --help\n",
                  argv0);
 }
 
@@ -79,7 +73,6 @@ main(int argc, char **argv)
     size.scale = 2;
     harness::TuneOptions opts;
     std::string json_prefix;
-    std::optional<kisa::ExecTier> exec_tier;
 
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
@@ -105,16 +98,7 @@ main(int argc, char **argv)
             json_prefix = next();
         else if (arg == "--jobs")
             opts.threads = tool.intArg(arg, next(), 0);
-        else if (arg == "--exec-tier") {
-            const std::string tier = next();
-            if (tier == "interp")
-                exec_tier = kisa::ExecTier::Interp;
-            else if (tier == "threaded")
-                exec_tier = kisa::ExecTier::Threaded;
-            else
-                tool.usageError("bad --exec-tier '" + tier +
-                                "' (expected interp|threaded)");
-        } else if (arg[0] == '-')
+        else if (arg[0] == '-')
             tool.usageError("unknown option '" + arg + "'");
         else if (!workloads::isKnownWorkload(arg))
             tool.usageError("unknown workload '" + arg + "'");
@@ -123,12 +107,6 @@ main(int argc, char **argv)
     }
     if (names.empty())
         tool.usageError("missing workload");
-
-    // Resolve the execution tier exactly once per invocation: the flag
-    // wins over MPC_EXEC_TIER, and the pin keeps every downstream
-    // execTierFromEnv() call on the same tier (see mpclust).
-    kisa::pinExecTier(exec_tier.has_value() ? *exec_tier
-                                            : kisa::execTierFromEnv());
 
     opts.scale = size.scale;
     if (!json_prefix.empty())
