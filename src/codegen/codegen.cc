@@ -987,83 +987,6 @@ class Lowerer
         const bool dynamic_hi = boundIsDynamic(stmt);
         lowerInto(*stmt.hi, hi, false);
 
-        const bool partition = stmt.parallel && opts_.numProcs > 1 &&
-                               !stmt.prePartitioned && !partitioned_;
-        MPC_ASSERT(!(partition && down),
-                   "partitioning downward loops is unsupported");
-        if (partition) {
-            // chunk = ceil(ceil(trip / P) / step) * step, so chunk
-            // boundaries stay aligned to the (possibly unroll-and-
-            // jammed) step; lo += procId * chunk; hi = min(lo+chunk,hi)
-            MPC_ASSERT(!dynamic_hi, "cannot partition a dynamic bound");
-            const std::int64_t pstep =
-                static_cast<std::int64_t>(opts_.numProcs) * stmt.step;
-            const Reg trip = allocTempInt();
-            Instr sub;
-            sub.op = Op::ISub;
-            sub.rd = trip;
-            sub.ra = hi;
-            sub.rb = var;
-            emit(sub);
-            Instr addp;
-            addp.op = Op::IAddImm;
-            addp.rd = trip;
-            addp.ra = trip;
-            addp.imm = pstep - 1;
-            emit(addp);
-            const Reg preg = allocTempInt();
-            Instr lp;
-            lp.op = Op::ILoadImm;
-            lp.rd = preg;
-            lp.imm = pstep;
-            emit(lp);
-            Instr divp;
-            divp.op = Op::IDiv;
-            divp.rd = trip;    // trip now holds chunk / step
-            divp.ra = trip;
-            divp.rb = preg;
-            emit(divp);
-            Instr scl;
-            scl.op = Op::IMulImm;
-            scl.rd = trip;     // chunk, step-aligned
-            scl.ra = trip;
-            scl.imm = stmt.step;
-            emit(scl);
-            intFree_.push_back(preg);
-            if (opts_.procId > 0) {
-                const Reg off = allocTempInt();
-                Instr mo;
-                mo.op = Op::IMulImm;
-                mo.rd = off;
-                mo.ra = trip;
-                mo.imm = opts_.procId;
-                emit(mo);
-                Instr av;
-                av.op = Op::IAdd;
-                av.rd = var;
-                av.ra = var;
-                av.rb = off;
-                emit(av);
-                intFree_.push_back(off);
-            }
-            const Reg my_hi = allocTempInt();
-            Instr ah;
-            ah.op = Op::IAdd;
-            ah.rd = my_hi;
-            ah.ra = var;
-            ah.rb = trip;
-            emit(ah);
-            Instr mn;
-            mn.op = Op::IMin;
-            mn.rd = hi;
-            mn.ra = my_hi;
-            mn.rb = hi;
-            emit(mn);
-            intFree_.push_back(my_hi);
-            intFree_.push_back(trip);
-            partitioned_ = true;
-        }
-
         auto l_top = newLabel();
         auto l_exit = newLabel();
         // Guard (also flushes): exit when the range is empty. Upward
@@ -1095,8 +1018,6 @@ class Lowerer
 
         if (measureTarget_ == &stmt)
             measuredBody_ = builder_.here() - body_start - 1;
-        if (partition)
-            partitioned_ = false;
     }
 
     void
@@ -1173,8 +1094,6 @@ class Lowerer
     std::map<std::string, Reg> fpVars_;
     std::map<const ir::Array *, Reg> baseRegs_;
     std::map<const ir::Array *, int> aliasIds_;
-
-    bool partitioned_ = false;
 
     const Stmt *measureTarget_ = nullptr;
     int measuredBody_ = -1;

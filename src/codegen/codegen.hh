@@ -10,10 +10,10 @@
  * sunk late, packing independent miss references together within the
  * instruction window (the balanced-scheduling effect).
  *
- * For multiprocessor runs, loops marked `parallel` are block-
- * partitioned across cores at lowering time (one program per core),
- * and Barrier/FlagSet/FlagWait statements lower to the corresponding
- * KISA synchronization operations.
+ * For multiprocessor runs, codegen only binds `__procid`/`__nprocs`
+ * in each core's prologue (transform::partitionParallelLoops assigns
+ * the iterations), and Barrier/FlagSet/FlagWait statements lower to
+ * the corresponding KISA synchronization operations.
  */
 
 #ifndef MPC_CODEGEN_CODEGEN_HH
@@ -39,8 +39,8 @@ struct CodegenOptions
      */
     std::set<std::uint32_t> leadingRefs;
 
-    /** This core's id and the total core count; parallel-marked loops
-     *  are block-partitioned by iteration. */
+    /** This core's id and the total core count, bound to `__procid`
+     *  and `__nprocs` in the prologue. */
     int procId = 0;
     int numProcs = 1;
 };
@@ -52,7 +52,8 @@ struct CodegenOptions
 kisa::Program lower(const ir::Kernel &kernel,
                     const CodegenOptions &options = {});
 
-/** Convenience: one program per core. */
+/** One program per core; partition the kernel first, or every core
+ *  runs every iteration. */
 std::vector<kisa::Program> lowerForCores(
     const ir::Kernel &kernel, int num_procs, bool clustered_schedule,
     const std::set<std::uint32_t> &leading_refs = {});

@@ -122,6 +122,9 @@ runManifestFromJson(const json::Value &v, RunManifest &m)
 
 } // namespace
 
+// Bump when a change alters results for an unchanged kernel/config/spec.
+constexpr int kResultsEpoch = 1;
+
 std::string
 jobKeyText(const workloads::Workload &workload, const RunSpec &spec,
            int scale)
@@ -130,9 +133,9 @@ jobKeyText(const workloads::Workload &workload, const RunSpec &spec,
         scaleConfig(spec.config, workload);
     const int procs = std::max(spec.procs, 1);
     return configKey(scaled, procs) +
-           strprintf("|workload=%s|scale=%d|clustered=%d|unroll=%d"
-                     "|maxCycles=%llu|pipeline=%s",
-                     workload.name.c_str(), scale,
+           strprintf("|epoch=%d|workload=%s|scale=%d|clustered=%d"
+                     "|unroll=%d|maxCycles=%llu|pipeline=%s",
+                     kResultsEpoch, workload.name.c_str(), scale,
                      spec.clustered ? 1 : 0, spec.maxUnroll,
                      static_cast<unsigned long long>(spec.maxCycles),
                      spec.pipeline.c_str());

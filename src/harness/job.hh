@@ -38,8 +38,8 @@ namespace mpc::harness
 /**
  * The composition string the second key half hashes (exposed for tests
  * and key-debugging): configKey() of the scaled config plus the
- * workload/scale/spec tail. The kernel text is hashed separately into
- * the first half.
+ * results epoch and the workload/scale/spec tail. The kernel text is
+ * hashed separately into the first half.
  */
 std::string jobKeyText(const workloads::Workload &workload,
                        const RunSpec &spec, int scale);

@@ -190,7 +190,6 @@ Stmt::clone() const
     copy->step = step;
     copy->parallel = parallel;
     copy->mark = mark;
-    copy->prePartitioned = prePartitioned;
     for (const auto &stmt : body)
         copy->body.push_back(stmt->clone());
     return copy;
@@ -372,6 +371,7 @@ Kernel::clone() const
     copy.name = name;
     copy.arrays = arrays;   // values; remap pointers below
     copy.scalars = scalars;
+    copy.partitioned = partitioned;
     for (const auto &stmt : body)
         copy.body.push_back(stmt->clone());
     // Remap array pointers in the cloned tree to the cloned arrays.

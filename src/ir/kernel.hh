@@ -175,10 +175,6 @@ struct Stmt
     /** Free marker for driver passes (copied by clone). */
     int mark = 0;
 
-    /** Loop bounds already rewritten to per-processor ranges; codegen
-     *  must not partition it again. */
-    bool prePartitioned = false;
-
     StmtPtr clone() const;
     std::string toString(int indent = 0) const;
 };
@@ -212,6 +208,10 @@ struct Kernel
     std::deque<Array> arrays;                   ///< stable addresses
     std::map<std::string, ScalType> scalars;
     std::vector<StmtPtr> body;
+
+    /** Set by transform::partitionParallelLoops, which runs once per
+     *  kernel. Copied by clone(); toString() does not print it. */
+    bool partitioned = false;
 
     /** Declare an array; returned pointer stays valid. */
     Array *addArray(std::string name, ScalType elem,

@@ -765,13 +765,17 @@ fuseLoops(Kernel &kernel, Stmt &first, Stmt &second)
 int
 partitionParallelLoops(Kernel &kernel)
 {
+    if (kernel.partitioned)
+        return 0;
+    kernel.partitioned = true;
+
     // Collect outermost parallel counted loops (not nested inside
     // another parallel loop).
     std::vector<Stmt *> targets;
     std::function<void(Stmt &, bool)> scan = [&](Stmt &s,
                                                  bool inside) {
-        const bool take = !inside && s.kind == Stmt::Kind::Loop &&
-                          s.parallel && !s.prePartitioned;
+        const bool take =
+            !inside && s.kind == Stmt::Kind::Loop && s.parallel;
         if (take)
             targets.push_back(&s);
         for (auto &child : s.body)
@@ -817,7 +821,6 @@ partitionParallelLoops(Kernel &kernel)
                      loop->hi->clone())));
         loop->lo = ir::varref(mylo);
         loop->hi = ir::varref(myhi);
-        loop->prePartitioned = true;
         owner->insert(owner->begin() + static_cast<std::ptrdiff_t>(pos),
                       std::make_move_iterator(setup.begin()),
                       std::make_move_iterator(setup.end()));

@@ -107,10 +107,13 @@ bool fuseLoops(ir::Kernel &kernel, ir::Stmt &first, ir::Stmt &second);
  * Rewrite every outermost parallel-marked counted loop to iterate over
  * a per-processor block [mylo, myhi), computed at run time from the
  * reserved variables `__procid` and `__nprocs` (initialized by the
- * code generator). Applied BEFORE the clustering driver so that each
- * processor's own range is unroll-and-jammed with its own postlude —
- * the structure of the paper's hand-transformed parallel codes — which
- * keeps the partition balanced regardless of the unroll degree.
+ * code generator). The only place iterations are assigned to
+ * processors, and it runs once per kernel: a call on a kernel with
+ * Kernel::partitioned set does nothing. Applied BEFORE the clustering
+ * driver so that each processor's own range is unroll-and-jammed with
+ * its own postlude — the structure of the paper's hand-transformed
+ * parallel codes — which keeps the partition balanced regardless of
+ * the unroll degree.
  * @return number of loops partitioned.
  */
 int partitionParallelLoops(ir::Kernel &kernel);

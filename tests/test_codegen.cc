@@ -217,6 +217,7 @@ TEST(Codegen, PartitioningCoversIterationSpace)
                         add(aref(x, subs1(varref("i"))), iconst(1))));
     k.body.push_back(forLoop("i", iconst(0), iconst(103), std::move(ib),
                              1, /*parallel=*/true));
+    ASSERT_EQ(transform::partitionParallelLoops(k), 1);
     assignRefIds(k);
     layoutArrays(k);
 
@@ -228,6 +229,68 @@ TEST(Codegen, PartitioningCoversIterationSpace)
     interp.run(1u << 24);
     for (int e = 0; e < 103; ++e)
         EXPECT_EQ(mem.ld64(x->base + Addr(e) * 8), 1u) << e;
+}
+
+/** 37x23 grid, `X[j][i] += 1` with j parallel. */
+Kernel
+gridKernel()
+{
+    Kernel k;
+    k.name = "grid";
+    Array *arr = k.addArray("X", ScalType::I64, {37, 23});
+    std::vector<StmtPtr> ib;
+    ib.push_back(assign(aref(arr, subs2(varref("j"), varref("i"))),
+                        add(aref(arr, subs2(varref("j"), varref("i"))),
+                            iconst(1))));
+    std::vector<StmtPtr> jb;
+    jb.push_back(forLoop("i", iconst(0), iconst(23), std::move(ib)));
+    k.body.push_back(forLoop("j", iconst(0), iconst(37), std::move(jb),
+                             1, /*parallel=*/true));
+    return k;
+}
+
+/** Elements of X equal to 1 after running @p k on @p procs cores. */
+int
+elementsSetOnce(Kernel &k, int procs)
+{
+    const Array *x = k.findArray("X");
+    assignRefIds(k);
+    layoutArrays(k);
+    kisa::MemoryImage mem;
+    kisa::Interpreter interp(mem);
+    auto programs = lowerForCores(k, procs, false);
+    for (auto &p : programs)
+        interp.addCore(p);
+    interp.run(1u << 24);
+    int ones = 0;
+    for (std::int64_t e = 0; e < x->numElems(); ++e)
+        ones += mem.ld64(x->base + Addr(e) * 8) == 1u;
+    return ones;
+}
+
+TEST(Codegen, InterchangedPartitionedNestCoversSpace)
+{
+    // Interchange moves the partitioned parallel loop inward; lowering
+    // must not split it a second time.
+    Kernel k = gridKernel();
+    ASSERT_EQ(transform::partitionParallelLoops(k), 1);
+    ASSERT_TRUE(transform::interchange(k, *k.body.back()));
+    EXPECT_EQ(elementsSetOnce(k, 16), 37 * 23);
+}
+
+TEST(Codegen, PartitionRunsOncePerKernel)
+{
+    // A second partition (a `partition` pass after `cluster`, on a
+    // kernel the harness already partitioned) must change nothing,
+    // even after interchange has moved the parallel loop inward. The
+    // clone carries the kernel's partitioned state.
+    Kernel k = gridKernel();
+    ASSERT_EQ(transform::partitionParallelLoops(k), 1);
+    ASSERT_TRUE(transform::interchange(k, *k.body.back()));
+    Kernel again = k.clone();
+    EXPECT_EQ(transform::partitionParallelLoops(again), 0);
+    EXPECT_EQ(again.toString(), k.toString());
+    EXPECT_EQ(elementsSetOnce(again, 16), 37 * 23);
 }
 
 TEST(Codegen, LoweredBodySizeIsSane)
@@ -287,6 +350,7 @@ TEST(Codegen, StridedParallelPartitionCoversSpace)
                         add(aref(x, subs1(varref("t"))), iconst(1))));
     k.body.push_back(forLoop("t", iconst(0), iconst(96), std::move(ib),
                              8, /*parallel=*/true));
+    ASSERT_EQ(transform::partitionParallelLoops(k), 1);
     assignRefIds(k);
     layoutArrays(k);
 

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -66,6 +68,39 @@ storeEntries(const std::string &dir)
     }
     return files;
 }
+
+/**
+ * Unsets the env gates under which runs bypass the store
+ * (storeEligible()) and restores them on scope exit. The tests that
+ * check the store itself hold one, so they also pass under CI's
+ * MPC_VALIDATE=1 and MPC_VERIFY_PASSES=1 steps.
+ */
+class StoreGatesUnset
+{
+  public:
+    StoreGatesUnset()
+    {
+        for (const char *gate : {"MPC_VALIDATE", "MPC_OBS", "MPC_TRACE",
+                                 "MPC_SAMPLE", "MPC_VERIFY_PASSES"}) {
+            if (const char *value = std::getenv(gate)) {
+                saved_.emplace_back(gate, value);
+                ::unsetenv(gate);
+            }
+        }
+    }
+
+    ~StoreGatesUnset()
+    {
+        for (const auto &[gate, value] : saved_)
+            ::setenv(gate.c_str(), value.c_str(), 1);
+    }
+
+    StoreGatesUnset(const StoreGatesUnset &) = delete;
+    StoreGatesUnset &operator=(const StoreGatesUnset &) = delete;
+
+  private:
+    std::vector<std::pair<std::string, std::string>> saved_;
+};
 
 TEST(Fnv1a, MatchesReferenceVectorsAndSeparatesInputs)
 {
@@ -154,6 +189,7 @@ TEST(Tune, RepeatedTunesAreDeterministic)
 
 TEST(Tune, WarmCacheServesEveryMeasurementWithIdenticalReport)
 {
+    const StoreGatesUnset gates;
     const workloads::Workload w = workloads::makeEm3d(tinySize());
     TuneOptions opts = uniOptions();
     opts.cacheDir = testing::TempDir() + "mpctune_cache";
@@ -175,6 +211,7 @@ TEST(Tune, WarmCacheServesEveryMeasurementWithIdenticalReport)
 
 TEST(Tune, StoreEntriesCarryByteStableManifestProvenance)
 {
+    const StoreGatesUnset gates;
     const workloads::Workload w = workloads::makeEm3d(tinySize());
     TuneOptions opts = uniOptions();
     opts.cacheDir = testing::TempDir() + "mpctune_manifest_cache";
@@ -214,6 +251,7 @@ TEST(Tune, CorruptedStoreEntryIsQuarantinedAndRepairedNotFatal)
     // used to reach the JSON parser unguarded. Under ResultStore it
     // must read as a miss, get quarantined, and be re-simulated —
     // with the report still byte-identical.
+    const StoreGatesUnset gates;
     const workloads::Workload w = workloads::makeEm3d(tinySize());
     TuneOptions opts = uniOptions();
     opts.cacheDir = testing::TempDir() + "mpctune_corrupt_cache";

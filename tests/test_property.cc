@@ -219,16 +219,26 @@ TEST_P(FuzzSeeds, PartitioningCoversSpace)
     // through cross-processor interleaving. Use 1 proc as a smoke
     // check in that case.
     x.body[0]->parallel = transform::canUnrollAndJam(*x.body[0]);
-    const int procs = x.body[0]->parallel ? 4 : 1;
+    const std::vector<int> proc_counts =
+        x.body[0]->parallel ? std::vector<int>{2, 3, 7, 16}
+                            : std::vector<int>{1};
     transform::partitionParallelLoops(x);
-    kisa::MemoryImage mem;
-    rk.fill(mem, 1);
-    auto programs = codegen::lowerForCores(x, procs, false);
-    kisa::Interpreter interp(mem);
-    for (auto &p : programs)
-        interp.addCore(p);
-    interp.run(1u << 28);
-    EXPECT_EQ(checksumArrays(x, mem), golden);
+    // Then cluster, as the harness does: the driver may jam the
+    // per-processor range and interchange its postlude.
+    transform::DriverParams params;
+    params.bodySize = codegen::loweredBodySize;
+    transform::applyClustering(x, params);
+    for (int procs : proc_counts) {
+        kisa::MemoryImage mem;
+        rk.fill(mem, 1);
+        auto programs = codegen::lowerForCores(x, procs, false);
+        kisa::Interpreter interp(mem);
+        for (auto &p : programs)
+            interp.addCore(p);
+        interp.run(1u << 28);
+        EXPECT_EQ(checksumArrays(x, mem), golden)
+            << procs << " procs\n" << x.toString();
+    }
 }
 
 

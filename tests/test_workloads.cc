@@ -13,8 +13,10 @@
 #include "harness/profiler.hh"
 #include "harness/runner.hh"
 #include "ir/eval.hh"
+#include "kisa/exec_threaded.hh"
 #include "kisa/interp.hh"
 #include "transform/driver.hh"
+#include "transform/pipeline.hh"
 #include "transform/transforms.hh"
 #include "workloads/workload.hh"
 
@@ -130,6 +132,43 @@ TEST_P(ParallelWorkloads, PartitionedRunMatchesSequential)
     ir::Kernel part = w.kernel.clone();
     transform::partitionParallelLoops(part);
     EXPECT_EQ(interpChecksum(w, part, 4), seq) << GetParam();
+}
+
+TEST_P(ParallelWorkloads, ClusteredRunMatchesSequential)
+{
+    // The multiprocessor figures' compile path: partition, profile,
+    // the default pipeline, per-core lowering with the clustered
+    // schedule. The P programs on one image must compute the
+    // sequential base's arrays.
+    Workload w = makeByName(GetParam(), tiny());
+    const std::uint64_t seq = interpChecksum(w, w.kernel, 1);
+    const harness::RunSpec spec;
+    const sys::SystemConfig config = harness::scaleConfig(spec.config, w);
+    for (int procs : {8, 16}) {
+        ir::Kernel kernel = w.kernel.clone();
+        transform::partitionParallelLoops(kernel);
+        const transform::DriverParams params = harness::makeDriverParams(
+            w, kernel, config, procs, spec.maxUnroll);
+        transform::Pipeline pipeline;
+        std::string error;
+        ASSERT_TRUE(transform::Pipeline::parse(
+            transform::pipelineSpecFromParams(params), pipeline, error))
+            << error;
+        pipeline.initMemory = [&w](kisa::MemoryImage &image) {
+            w.init(image);
+        };
+        const transform::PipelineReport report =
+            pipeline.run(kernel, params);
+        std::set<std::uint32_t> leading;
+        for (int ref_id : report.leadingRefIds)
+            leading.insert(static_cast<std::uint32_t>(ref_id));
+        kisa::MemoryImage mem;
+        w.init(mem);
+        kisa::execute(codegen::lowerForCores(kernel, procs, true, leading),
+                      mem);
+        EXPECT_EQ(ir::checksumArrays(w.kernel, mem), seq)
+            << GetParam() << " at " << procs << "p";
+    }
 }
 
 // Mp3d is excluded: its cell-census updates race across processors by
