@@ -30,7 +30,6 @@ main()
             job.config = sys::baseConfig();
             job.config.membus.interleave = policy;
             job.procs = 1;
-            job.scale = size.scale;
             jobs.push_back(std::move(job));
         }
     }

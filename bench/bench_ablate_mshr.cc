@@ -26,7 +26,6 @@ main()
             job.config.hier.l1.numMshrs = mshrs;
             job.config.hier.l2.numMshrs = mshrs;
             job.procs = 1;
-            job.scale = size.scale;
             jobs.push_back(std::move(job));
         }
     }

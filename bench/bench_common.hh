@@ -140,7 +140,6 @@ runApps(const std::vector<std::string> &names,
         job.workload = std::move(w);
         job.config = config;
         job.procs = procs;
-        job.scale = size.scale;
         jobs.push_back(std::move(job));
     }
 

@@ -24,7 +24,6 @@ main()
         job.label = job.workload.name;
         job.config = sys::baseConfig();
         job.procs = job.workload.defaultProcs;
-        job.scale = size.scale;
     }
     std::fprintf(stderr, "running ocean and lu pairs in parallel...\n");
     const auto results = harness::runPairsParallel(jobs);

@@ -44,7 +44,6 @@ main()
         job.workload = workloads::makeByName(row.app, size);
         job.config = config;
         job.procs = row.procs;
-        job.scale = size.scale;
         jobs.push_back(std::move(job));
     }
 

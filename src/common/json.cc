@@ -197,13 +197,6 @@ strField(const Value &v, const std::string &name)
                                                  : std::string();
 }
 
-bool
-boolField(const Value &v, const std::string &name)
-{
-    const Value *f = v.field(name);
-    return f != nullptr && f->t == Value::T::Bool && f->b;
-}
-
 std::string
 hex64(std::uint64_t v)
 {

@@ -6,10 +6,8 @@
  * plus the escaping/number-formatting helpers those emitters share.
  *
  * This is deliberately not a general JSON library: inputs are our own
- * BENCH_*.json / PipelineReport / autotune-cache files, and the parser
- * accepts exactly what the writers emit (plus whitespace). Promoted
- * from transform/pipeline.cc when the autotuner result cache became a
- * second consumer.
+ * BENCH_*.json, run-manifest and SAMPLES files, and the parser accepts
+ * exactly what the writers emit (plus whitespace).
  */
 
 #ifndef MPC_COMMON_JSON_HH
@@ -58,7 +56,6 @@ std::string num(double v);
 double numField(const Value &v, const std::string &name,
                 double dflt = 0.0);
 std::string strField(const Value &v, const std::string &name);
-bool boolField(const Value &v, const std::string &name);
 
 /** Render @p v as a fixed-width 16-digit lowercase hex string (the
  *  format every manifest hash uses, so hashes diff cleanly). */

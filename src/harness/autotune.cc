@@ -1,16 +1,12 @@
 #include "harness/autotune.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <memory>
 #include <set>
 
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "harness/job.hh"
 #include "harness/parallel.hh"
 #include "harness/report.hh"
-#include "harness/store.hh"
 #include "transform/pipeline.hh"
 
 namespace mpc::harness
@@ -18,22 +14,6 @@ namespace mpc::harness
 
 namespace
 {
-
-/** "spec=... config=..." provenance line for the stderr
- *  cache-hit echo, from a stored entry's run manifest. Empty when the
- *  manifest is missing (a hand-seeded store entry). */
-std::string
-manifestSummary(const std::string &manifest_json)
-{
-    json::Value man;
-    if (manifest_json.empty() || !json::parse(manifest_json, man) ||
-        man.t != json::Value::T::Obj)
-        return "";
-    const std::string pipe = json::strField(man, "pipeline");
-    return strprintf("spec=%s config=%s",
-                     pipe.empty() ? "(base)" : pipe.c_str(),
-                     json::strField(man, "configHash").c_str());
-}
 
 /** The default-everything spec body the degree/factor variants edit. */
 constexpr const char *kFullTail =
@@ -125,9 +105,8 @@ TuneReport::toString() const
 std::string
 TuneReport::toJson() const
 {
-    // Deliberately excludes cache hit/miss state and wall times: the
-    // tuned-spec JSON must be byte-identical between a cold run and a
-    // fully cached rerun.
+    // Deliberately excludes wall times: the tuned-spec JSON must be
+    // byte-identical between two runs of the same tune.
     std::string out = "{\n  \"workload\": ";
     json::escape(out, workload);
     out += strprintf(",\n  \"procs\": %d", procs);
@@ -263,23 +242,15 @@ tune(const workloads::Workload &workload, const TuneOptions &opts)
         }
     }
 
-    // --- stage 2b: simulate (through the result store) ---------------
-    const bool caching = !opts.cacheDir.empty();
-    std::unique_ptr<ResultStore> store;
-    if (caching)
-        store = std::make_unique<ResultStore>(opts.cacheDir);
-    ResultStore *const store_ptr = store.get();
-
+    // --- stage 2b: simulate ------------------------------------------
     struct SimJob
     {
         int candidate = -1;     ///< -1: the untransformed base run
         std::string spec;       ///< display label ("(base)" for base)
         std::uint64_t cycles = 0;
         double mlp = 0.0;
-        bool fromCache = false;
         bool failed = false;
         std::string note;
-        std::string summary;    ///< provenance from the stored entry
     };
     std::vector<SimJob> sims;
     {
@@ -300,7 +271,7 @@ tune(const workloads::Workload &workload, const TuneOptions &opts)
     std::vector<std::string> labels;
     for (SimJob &job : sims) {
         labels.push_back(workload.name + ":" + job.spec);
-        jobs.push_back([&job, &workload, &opts, store_ptr, procs] {
+        jobs.push_back([&job, &workload, &opts, procs] {
             try {
                 RunSpec spec;
                 spec.config = opts.config;
@@ -308,15 +279,9 @@ tune(const workloads::Workload &workload, const TuneOptions &opts)
                 spec.maxCycles = opts.maxCycles;
                 if (job.candidate >= 0)
                     spec.pipeline = job.spec;
-                bool from_store = false;
-                const WorkloadRun run = runStoredWorkload(
-                    workload, spec, opts.scale, store_ptr,
-                    &from_store);
+                const WorkloadRun run = runWorkload(workload, spec);
                 job.cycles = run.result.cycles;
                 job.mlp = measuredMlp(run.result);
-                job.fromCache = from_store;
-                if (from_store)
-                    job.summary = manifestSummary(run.manifestJson);
             } catch (const std::exception &e) {
                 job.failed = true;
                 job.note = e.what();
@@ -327,17 +292,6 @@ tune(const workloads::Workload &workload, const TuneOptions &opts)
 
     // --- fold the measurements back into the report ------------------
     for (const SimJob &job : sims) {
-        if (job.fromCache) {
-            ++report.cacheHits;
-            // Echo the stored entry's provenance. Stderr only (stdout
-            // must not depend on store state), and from this
-            // sequential loop, not the parallel jobs, so the order is
-            // deterministic.
-            if (!job.summary.empty())
-                std::fprintf(stderr, "mpctune: cache hit: %s\n",
-                             job.summary.c_str());
-        } else if (caching && !job.failed)
-            ++report.cacheMisses;
         if (job.candidate < 0) {
             report.baseCycles = job.cycles;
             report.baseMlp = job.mlp;
@@ -352,7 +306,6 @@ tune(const workloads::Workload &workload, const TuneOptions &opts)
             continue;
         }
         cand.measured = true;
-        cand.cached = job.fromCache;
         cand.cycles = job.cycles;
         cand.mlp = job.mlp;
     }

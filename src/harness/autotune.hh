@@ -21,15 +21,8 @@
  *     through harness::ParallelRunner. A per-job try/catch keeps one
  *     bad candidate from aborting the sweep.
  *
- * Simulation results live in the shared content-addressed ResultStore
- * (harness/store.hh), keyed by the Job layer's content key —
- * (FNV-1a of the kernel IR text) x (FNV-1a of configKey + spec tail) —
- * so re-running a tune never re-simulates: the second run is 100%
- * store hits with byte-identical report output, and a tune shares
- * results with any bench that ran the same simulations against
- * the same store. Hit/miss counts go to stderr only — stdout must not
- * depend on store state. (PR 7's private tune_*.json cache files were
- * absorbed into this store.)
+ * Every measurement is a full runWorkload. Simulation is
+ * deterministic, so a rerun prints byte-identical reports.
  */
 
 #ifndef MPC_HARNESS_AUTOTUNE_HH
@@ -50,12 +43,8 @@ struct TuneOptions
     sys::SystemConfig config = sys::baseConfig();
     int procs = -1;         ///< -1: the workload's default
     int simBudget = 8;      ///< candidates simulated after model pruning
-    /** ResultStore directory for sim results; empty: caching off. */
-    std::string cacheDir;
     int threads = 0;        ///< ParallelRunner threads (0 = default)
     Tick maxCycles = Tick(1) << 36;
-    /** Size scale the workload was built with (job-key input). */
-    int scale = 2;
 };
 
 /** One candidate spec's trip through the two stages. */
@@ -64,8 +53,7 @@ struct CandidateResult
     std::string spec;
     double predictedF = 0.0;    ///< sum of per-nest f after (Eq 1-4)
     bool pruned = false;        ///< dropped by the model stage
-    bool measured = false;      ///< simulated (or served from cache)
-    bool cached = false;        ///< sim result came from the cache
+    bool measured = false;      ///< simulated
     bool failed = false;        ///< screen mismatch or sim exception
     std::string note;
     std::uint64_t cycles = 0;
@@ -83,8 +71,6 @@ struct TuneReport
     std::uint64_t handCycles = 0;
     std::vector<CandidateResult> candidates;    ///< ranked, hand included
     int bestIndex = -1;             ///< into candidates; -1 = none ran
-    int cacheHits = 0;
-    int cacheMisses = 0;
 
     const CandidateResult *
     best() const
@@ -93,7 +79,7 @@ struct TuneReport
     }
 
     /** Human-readable tuned-vs-hand table. Deterministic: contains no
-     *  wall times or cache-state-dependent text. */
+     *  wall times. */
     std::string toString() const;
 
     /** Machine-readable result (same determinism guarantee). */

@@ -2,7 +2,7 @@
  * @file
  * RunManifest: the provenance record embedded in every JSON artifact
  * the harness and benches emit (BENCH_*.json, MODEL_VS_MEASURED_*.json,
- * FIG4_mshr.json, SAMPLES time series, and result-store entries).
+ * FIG4_mshr.json and SAMPLES time series).
  *
  * An artifact without provenance is a number without units: once a
  * sweep leaves hundreds of JSON files, nothing but the
@@ -15,10 +15,7 @@
  * workload's artifacts when merging them and warns on mismatches.
  *
  * configKey() is the single source of truth for "the configuration
- * fields a simulation result depends on"; the Job layer (job.hh)
- * appends its workload/scale/spec tail to the same string to form
- * ResultStore content keys, so a config edit anywhere moves every
- * dependent store key.
+ * fields a simulation result depends on".
  */
 
 #ifndef MPC_HARNESS_MANIFEST_HH
@@ -54,8 +51,7 @@ struct RunManifest
     bool obs = false;       ///< metrics collectors attached
     bool validate = false;  ///< validation layer attached
     Tick samplePeriod = 0;  ///< epoch sampler period (0 = off)
-    /** Host identification ("" in artifacts that must be byte-stable
-     *  across hosts, e.g. autotune cache entries). */
+    /** Host identification (hostString() of the producing host). */
     std::string host;
 
     /** Render as a JSON object (shared json::ObjectWriter; hashes as

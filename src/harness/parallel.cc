@@ -2,15 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
-
-#include "harness/job.hh"
 
 namespace mpc::harness
 {
@@ -101,35 +97,9 @@ ParallelRunner::run(const std::vector<std::function<void()>> &jobs,
     }
 }
 
-TimedWorkloadRun
-runWorkloadTimed(const workloads::Workload &workload, const RunSpec &spec)
-{
-    using clock = std::chrono::steady_clock;
-    TimedWorkloadRun out;
-    const auto t0 = clock::now();
-    out.run = runWorkload(workload, spec);
-    const auto t1 = clock::now();
-    out.timing.wallSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
-    out.timing.cyclesPerSec =
-        out.timing.wallSeconds > 0.0
-            ? static_cast<double>(out.run.result.cycles) /
-                  out.timing.wallSeconds
-            : 0.0;
-    return out;
-}
-
 std::vector<TimedPairResult>
 runPairsParallel(const std::vector<PairJob> &jobs, int threads)
 {
-    // Store-backed path: with MPC_STORE set (and no env gate that
-    // demands real simulation), serve completed runs from the store
-    // and publish fresh ones to it. The instance is shared across
-    // worker threads (ResultStore is thread-safe) and its counters go
-    // to stderr below — stdout stays byte-identical warm or cold.
-    std::unique_ptr<ResultStore> store = ResultStore::fromEnv();
-    ResultStore *store_ptr = store.get();
-
     std::vector<TimedPairResult> results(jobs.size());
     std::vector<std::function<void()>> tasks;
     std::vector<std::string> labels;
@@ -141,23 +111,21 @@ runPairsParallel(const std::vector<PairJob> &jobs, int threads)
         // Base and clustered runs of one pair are independent sims; the
         // workload is only read (kernel.clone() per run), so the two
         // tasks may share it.
-        tasks.push_back([&jobs, &results, store_ptr, i] {
+        tasks.push_back([&jobs, &results, i] {
             const PairJob &job = jobs[i];
             RunSpec spec;
             spec.config = job.config;
             spec.procs = job.procs;
             spec.clustered = false;
-            results[i].pair.base = runStoredWorkload(
-                job.workload, spec, job.scale, store_ptr);
+            results[i].pair.base = runWorkload(job.workload, spec);
         });
-        tasks.push_back([&jobs, &results, store_ptr, i] {
+        tasks.push_back([&jobs, &results, i] {
             const PairJob &job = jobs[i];
             RunSpec spec;
             spec.config = job.config;
             spec.procs = job.procs;
             spec.clustered = true;
-            results[i].pair.clust = runStoredWorkload(
-                job.workload, spec, job.scale, store_ptr);
+            results[i].pair.clust = runWorkload(job.workload, spec);
         });
     }
     // The runner is the single timing source: per-job wall times come
@@ -174,12 +142,6 @@ runPairsParallel(const std::vector<PairJob> &jobs, int threads)
         results[i].clustTiming.wallSeconds = wall[2 * i + 1];
         results[i].clustTiming.cyclesPerSec =
             rate(wall[2 * i + 1], results[i].pair.clust.result.cycles);
-    }
-    if (store != nullptr) {
-        const ResultStore::Stats s = store->stats();
-        std::fprintf(stderr,
-                     "store %s: %d hit(s), %d miss(es), %d bad\n",
-                     store->dir().c_str(), s.hits, s.misses, s.bad);
     }
     return results;
 }

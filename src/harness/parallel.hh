@@ -67,16 +67,6 @@ class ParallelRunner
     int threads_;
 };
 
-/** runWorkload plus wall-clock measurement. */
-struct TimedWorkloadRun
-{
-    WorkloadRun run;
-    RunTiming timing;
-};
-
-TimedWorkloadRun runWorkloadTimed(const workloads::Workload &workload,
-                                  const RunSpec &spec);
-
 /** One base+clustered experiment in a parallel bench. */
 struct PairJob
 {
@@ -84,9 +74,6 @@ struct PairJob
     workloads::Workload workload;
     sys::SystemConfig config;
     int procs = 1;
-    /** Size scale the workload was built with (job-key input on the
-     *  store-backed path; see harness/job.hh). */
-    int scale = 2;
 };
 
 /** PairResult plus per-run host timings. */
@@ -99,14 +86,8 @@ struct TimedPairResult
 
 /**
  * Run the base and clustered sims of every job concurrently (two
- * independent tasks per pair). Results come back in job order.
- *
- * When MPC_STORE names a ResultStore (and no validation/observability
- * env gate forces real simulation — harness::storeEligible), each run
- * is served from the store when present and published to it when not,
- * and hit/miss counters print to stderr. Stdout derived from the
- * results is byte-identical warm or cold; warm runs report ~zero wall
- * time for served sims.
+ * independent tasks per pair, each a full runWorkload). Results come
+ * back in job order.
  */
 std::vector<TimedPairResult>
 runPairsParallel(const std::vector<PairJob> &jobs, int threads = 0);

@@ -110,7 +110,7 @@ struct PassReport
      *  functional re-execution); 0 when verification was off or the
      *  pass was skipped. The executing tier is PipelineReport's
      *  verifyTier. Excluded from toString() — host timing stays off
-     *  stdout — but serialized and replayed onto the obs trace. */
+     *  stdout — but replayed onto the obs trace. */
     double verifyMs = 0.0;
 
     std::string toString() const;
@@ -151,10 +151,6 @@ struct PipelineReport
 
     /** The old DriverReport rendering: one line per nest. */
     std::string toString() const;
-
-    std::string toJson() const;
-    /** Parse toJson() output. @return false on malformed input. */
-    static bool fromJson(const std::string &json, PipelineReport &out);
 };
 
 /** Per-live-nest state shared between passes (see file comment). */

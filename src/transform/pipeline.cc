@@ -7,7 +7,6 @@
 #include <set>
 
 #include "codegen/codegen.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "ir/eval.hh"
 #include "ir/verify.hh"
@@ -78,138 +77,6 @@ PipelineReport::toString() const
     for (const auto &nest : nests)
         out += nest.toString() + "\n";
     return out;
-}
-
-// --- JSON ------------------------------------------------------------
-// Serialization uses the shared common/json helpers (the parser there
-// was promoted from this file when the autotune cache became a second
-// consumer).
-
-using json::boolField;
-using json::numField;
-using json::strField;
-
-std::string
-PipelineReport::toJson() const
-{
-    std::string out = "{\n  \"nests\": [";
-    for (size_t i = 0; i < nests.size(); ++i) {
-        const NestReport &nr = nests[i];
-        out += i > 0 ? ",\n    {" : "\n    {";
-        out += "\"loopVar\": ";
-        json::escape(out, nr.loopVar);
-        out += ", \"alpha\": " + json::num(nr.alpha);
-        out += ", \"addressRecurrence\": ";
-        out += nr.addressRecurrence ? "true" : "false";
-        out += ", \"fBefore\": " + json::num(nr.fBefore);
-        out += ", \"fAfter\": " + json::num(nr.fAfter);
-        out += strprintf(", \"unrollDegree\": %d", nr.unrollDegree);
-        out += strprintf(", \"innerUnrollDegree\": %d",
-                         nr.innerUnrollDegree);
-        out += strprintf(", \"fusedLoops\": %d", nr.fusedLoops);
-        out += strprintf(", \"scalarsReplaced\": %d", nr.scalarsReplaced);
-        out += ", \"postludeInterchanged\": ";
-        out += nr.postludeInterchanged ? "true" : "false";
-        out += ", \"note\": ";
-        json::escape(out, nr.note);
-        out += "}";
-    }
-    out += nests.empty() ? "],\n" : "\n  ],\n";
-    out += "  \"leadingRefIds\": [";
-    for (size_t i = 0; i < leadingRefIds.size(); ++i)
-        out += strprintf(i > 0 ? ", %d" : "%d", leadingRefIds[i]);
-    out += "],\n  \"passes\": [";
-    for (size_t i = 0; i < passes.size(); ++i) {
-        const PassReport &pr = passes[i];
-        out += i > 0 ? ",\n    {" : "\n    {";
-        out += "\"pass\": ";
-        json::escape(out, pr.pass);
-        out += ", \"wallMs\": " + json::num(pr.wallMs);
-        out += ", \"verifyMs\": " + json::num(pr.verifyMs);
-        out += strprintf(", \"actions\": %d", pr.actions);
-        out += ", \"skipped\": ";
-        out += pr.skipped ? "true" : "false";
-        out += ", \"detail\": ";
-        json::escape(out, pr.detail);
-        out += "}";
-    }
-    out += passes.empty() ? "],\n" : "\n  ],\n";
-    out += "  \"verifyTier\": ";
-    json::escape(out, verifyTier);
-    out += ",\n  \"refChecksumMs\": " + json::num(refChecksumMs);
-    out += ",\n  \"verifyFailures\": [";
-    for (size_t i = 0; i < verifyFailures.size(); ++i) {
-        out += i > 0 ? ",\n    {" : "\n    {";
-        out += "\"pass\": ";
-        json::escape(out, verifyFailures[i].pass);
-        out += ", \"what\": ";
-        json::escape(out, verifyFailures[i].what);
-        out += "}";
-    }
-    out += verifyFailures.empty() ? "]\n}\n" : "\n  ]\n}\n";
-    return out;
-}
-
-bool
-PipelineReport::fromJson(const std::string &text, PipelineReport &out)
-{
-    json::Value root;
-    if (!json::parse(text, root) || root.t != json::Value::T::Obj)
-        return false;
-    out = PipelineReport();
-    if (const json::Value *nests = root.field("nests");
-        nests != nullptr && nests->t == json::Value::T::Arr) {
-        for (const json::Value &v : nests->arr) {
-            if (v.t != json::Value::T::Obj)
-                return false;
-            NestReport nr;
-            nr.loopVar = strField(v, "loopVar");
-            nr.alpha = numField(v, "alpha");
-            nr.addressRecurrence = boolField(v, "addressRecurrence");
-            nr.fBefore = numField(v, "fBefore");
-            nr.fAfter = numField(v, "fAfter");
-            nr.unrollDegree =
-                static_cast<int>(numField(v, "unrollDegree", 1));
-            nr.innerUnrollDegree =
-                static_cast<int>(numField(v, "innerUnrollDegree", 1));
-            nr.fusedLoops = static_cast<int>(numField(v, "fusedLoops"));
-            nr.scalarsReplaced =
-                static_cast<int>(numField(v, "scalarsReplaced"));
-            nr.postludeInterchanged =
-                boolField(v, "postludeInterchanged");
-            nr.note = strField(v, "note");
-            out.nests.push_back(std::move(nr));
-        }
-    }
-    if (const json::Value *ids = root.field("leadingRefIds");
-        ids != nullptr && ids->t == json::Value::T::Arr) {
-        for (const json::Value &v : ids->arr)
-            out.leadingRefIds.push_back(static_cast<int>(v.num));
-    }
-    if (const json::Value *passes = root.field("passes");
-        passes != nullptr && passes->t == json::Value::T::Arr) {
-        for (const json::Value &v : passes->arr) {
-            if (v.t != json::Value::T::Obj)
-                return false;
-            PassReport pr;
-            pr.pass = strField(v, "pass");
-            pr.wallMs = numField(v, "wallMs");
-            pr.verifyMs = numField(v, "verifyMs");
-            pr.actions = static_cast<int>(numField(v, "actions"));
-            pr.skipped = boolField(v, "skipped");
-            pr.detail = strField(v, "detail");
-            out.passes.push_back(std::move(pr));
-        }
-    }
-    out.verifyTier = strField(root, "verifyTier");
-    out.refChecksumMs = numField(root, "refChecksumMs");
-    if (const json::Value *fails = root.field("verifyFailures");
-        fails != nullptr && fails->t == json::Value::T::Arr) {
-        for (const json::Value &v : fails->arr)
-            out.verifyFailures.push_back(
-                {strField(v, "pass"), strField(v, "what")});
-    }
-    return true;
 }
 
 // --- rows ------------------------------------------------------------

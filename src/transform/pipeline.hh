@@ -19,7 +19,7 @@
  * (prefetchDistanceLines). Knobs are applied to a copy of the caller's
  * DriverParams at the start of run(), so a knob-carrying spec is a
  * self-contained description of a transformation variant — exactly
- * what the autotuner searches over and hashes into its cache keys.
+ * what the autotuner searches over.
  * Whitespace around names, knobs, and values is tolerated; duplicate
  * pass names, empty entries, unknown knobs, and non-positive values
  * are rejected with the offending token named.
@@ -120,7 +120,7 @@ class Pipeline
     /**
      * Canonical spec string: pass names joined by commas, knobs
      * rendered as name(knob=value,...) with no whitespace. parse() of
-     * the result reproduces this pipeline; autotune cache keys hash it.
+     * the result reproduces this pipeline.
      */
     std::string spec() const;
 
@@ -165,7 +165,7 @@ std::string defaultPipelineSpec();
  * its default (e.g. "cluster(maxDegree=8)" when maxUnroll is 8).
  * parse() of the result followed by applyKnobs() reproduces the gated
  * and knob-backed fields of @p params — the round-trip the autotuner
- * and its cache keys rely on.
+ * relies on.
  */
 std::string pipelineSpecFromParams(const DriverParams &params);
 

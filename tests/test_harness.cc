@@ -26,6 +26,7 @@
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "transform/driver.hh"
+#include "transform/pipeline.hh"
 #include "workloads/workload.hh"
 
 namespace mpc::harness
@@ -120,6 +121,22 @@ TEST(Runner, ClusteredRunCarriesReportAndKernel)
     EXPECT_FALSE(run.report.nests.empty());
     EXPECT_NE(run.kernelText.find("for"), std::string::npos);
     EXPECT_GT(run.result.cycles, 0u);
+
+    // The run's manifest hashes the config the simulator actually ran
+    // (spec.config scaled to the workload's input) and the final,
+    // transformed kernel, and names the default pipeline spec.
+    json::Value man;
+    ASSERT_TRUE(json::parse(run.manifestJson, man)) << run.manifestJson;
+    EXPECT_EQ(json::strField(man, "schema"), "mpc-manifest-v1");
+    EXPECT_EQ(json::strField(man, "workload"), w.name);
+    const sys::SystemConfig scaled = scaleConfig(spec.config, w);
+    EXPECT_EQ(json::strField(man, "configHash"),
+              json::hex64(configHash(scaled, 1)));
+    EXPECT_EQ(json::strField(man, "kernelHash"),
+              json::hex64(fnv1a(run.kernelText)));
+    EXPECT_EQ(json::strField(man, "pipeline"),
+              transform::pipelineSpecFromParams(makeDriverParams(
+                  w, w.kernel, scaled, 1, spec.maxUnroll)));
 }
 
 TEST(Runner, BaseRunHasNoReport)
@@ -468,15 +485,26 @@ TEST(Manifest, ConfigKeyStableAndSensitiveToSimRelevantFields)
     auto bigger = config;
     bigger.hier.l2.numMshrs *= 2;
     EXPECT_NE(key, configKey(bigger, 4));
+    auto skewed = config;
+    skewed.membus.interleave = mem::Interleave::Skewed;
+    EXPECT_NE(key, configKey(skewed, 4));
+    auto alus = config;
+    alus.core.numAlus = 9;
+    EXPECT_NE(key, configKey(alus, 4));
 
     // Observability/validation toggles are guaranteed result-neutral
-    // and must NOT move the key (or every obs run would miss the
-    // cache its plain twin filled).
+    // and must NOT move the key: a run's manifest names what it
+    // computed, not how it was watched.
     auto observed = config;
     observed.obsMetrics = true;
     observed.validate = true;
     observed.samplePeriod = 1000;
     EXPECT_EQ(key, configKey(observed, 4));
+    // Cycle-stepping is bit-identical to skip-ahead (test_fastpath), so
+    // it must not move the key either.
+    auto stepped = config;
+    stepped.skipAhead = false;
+    EXPECT_EQ(key, configKey(stepped, 4));
 
     EXPECT_EQ(configHash(config, 4), fnv1a(key));
 }

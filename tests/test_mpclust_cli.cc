@@ -1,13 +1,13 @@
 /**
  * @file
- * Command-line contract of the mpclust and mpctune drivers: --help
- * succeeds with the usage on stdout, and unknown options, workloads or
- * malformed values fail with exit status 2 and a message naming them,
- * before any simulation runs. The benches' MPC_SCALE gets the same
- * treatment: a bad value is fatal before anything is printed.
+ * Command-line contract of the mpclust, mpctune and mpcreport tools:
+ * --help succeeds with the usage on stdout, and unknown options,
+ * workloads or malformed values fail with exit status 2 and a message
+ * naming them, before any simulation runs. The benches' MPC_SCALE gets
+ * the same treatment: a bad value is fatal before anything is printed.
  *
  * Runs the real binaries (paths baked in by CMake as MPCLUST_BIN,
- * MPCTUNE_BIN and BENCH_CONFIGS_BIN).
+ * MPCTUNE_BIN, MPCREPORT_BIN and BENCH_CONFIGS_BIN).
  */
 
 #include <gtest/gtest.h>
@@ -79,6 +79,12 @@ CliRun
 runMpctune(const std::string &args)
 {
     return runTool(MPCTUNE_BIN, args);
+}
+
+CliRun
+runMpcreport(const std::string &args)
+{
+    return runTool(MPCREPORT_BIN, args);
 }
 
 TEST(MpclustCli, HelpPrintsUsageToStdoutAndSucceeds)
@@ -180,6 +186,13 @@ TEST(MpctuneCli, BadConfigUnknownOptionAndMissingValueAreNamed)
             << run.err;
     }
 
+    // mpctune alone once took --cache DIR.
+    run = runMpctune("latbench --cache x");
+    EXPECT_EQ(run.status, 2);
+    EXPECT_NE(run.err.find("unknown option '--cache'"), std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.out, "");
+
     run = runMpctune("latbench --budget");
     EXPECT_EQ(run.status, 2);
     EXPECT_NE(run.err.find("'--budget' needs a value"), std::string::npos)
@@ -196,6 +209,32 @@ TEST(MpctuneCli, UnknownWorkloadIsRejectedBeforeAnyTuning)
         << run.err;
     EXPECT_NE(run.err.find("usage:"), std::string::npos);
     EXPECT_EQ(run.out, "");
+}
+
+TEST(MpcreportCli, HelpPrintsUsageToStdoutAndSucceeds)
+{
+    const CliRun run = runMpcreport("--help");
+    EXPECT_EQ(run.status, 0);
+    EXPECT_EQ(run.out.rfind("usage:", 0), 0u) << run.out;
+    EXPECT_NE(run.out.find("--markdown"), std::string::npos);
+    EXPECT_EQ(run.err, "");
+}
+
+TEST(MpcreportCli, UnknownOptionIsNamed)
+{
+    // --store DIR was once an option: it must not be read as a file.
+    for (const auto &[option, value] :
+         {std::pair<std::string, std::string>{"--store", "x"},
+          {"--bogus", ""}}) {
+        const CliRun run = runMpcreport(option + " " + value);
+        EXPECT_EQ(run.status, 2) << option;
+        EXPECT_NE(run.err.find("mpcreport: unknown option '" + option +
+                               "'"),
+                  std::string::npos)
+            << run.err;
+        EXPECT_NE(run.err.find("usage:"), std::string::npos) << option;
+        EXPECT_EQ(run.out, "") << option;
+    }
 }
 
 TEST(BenchScale, BadMpcScaleIsFatalBeforeAnyOutput)

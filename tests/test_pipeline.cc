@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the pass pipeline layer: spec parsing, the registry, the
- * report renderings and their JSON round-trip, equivalence between the
- * default pipeline and the legacy applyClustering() entry point, the
- * IR verifier, and fault injection (an illegal pass must be caught and
- * named by the per-pass verification).
+ * report renderings, equivalence between the default pipeline and the
+ * legacy applyClustering() entry point, the IR verifier, and fault
+ * injection (an illegal pass must be caught and named by the per-pass
+ * verification).
  */
 
 #include <gtest/gtest.h>
@@ -351,42 +351,8 @@ TEST(PipelineKnobs, SpecFromParamsRoundTripsAllGateCombos)
 }
 
 // ---------------------------------------------------------------------
-// Report renderings and the JSON round-trip.
+// Report renderings.
 // ---------------------------------------------------------------------
-
-PipelineReport
-sampleReport()
-{
-    PipelineReport report;
-    NestReport nest;
-    nest.loopVar = "i";
-    nest.alpha = 0.5;
-    nest.addressRecurrence = true;
-    nest.fBefore = 1.0;
-    nest.fAfter = 5.0;
-    nest.unrollDegree = 4;
-    nest.innerUnrollDegree = 2;
-    nest.fusedLoops = 1;
-    nest.scalarsReplaced = 3;
-    nest.postludeInterchanged = true;
-    nest.note = "jammed 2 levels up; \"quoted\"\nand a newline";
-    report.nests.push_back(nest);
-    report.leadingRefIds = {3, 1, 4};
-    PassReport pass;
-    pass.pass = "cluster";
-    pass.wallMs = 1.25;
-    pass.actions = 2;
-    pass.detail = "note";
-    report.passes.push_back(pass);
-    pass.pass = "prefetch";
-    pass.skipped = true;
-    report.passes.push_back(pass);
-    VerifyFailure failure;
-    failure.pass = "cluster";
-    failure.what = "checksum mismatch";
-    report.verifyFailures.push_back(failure);
-    return report;
-}
 
 TEST(Reports, NestReportToStringMatchesLegacyFormat)
 {
@@ -418,55 +384,6 @@ TEST(Reports, PassReportToStringShowsSkipsAndDetail)
     pass.detail = "why";
     EXPECT_NE(pass.toString().find("[skipped]"), std::string::npos);
     EXPECT_NE(pass.toString().find("why"), std::string::npos);
-}
-
-TEST(Reports, JsonRoundTrip)
-{
-    const PipelineReport report = sampleReport();
-    PipelineReport parsed;
-    ASSERT_TRUE(PipelineReport::fromJson(report.toJson(), parsed))
-        << report.toJson();
-
-    ASSERT_EQ(parsed.nests.size(), 1u);
-    const NestReport &nest = parsed.nests[0];
-    EXPECT_EQ(nest.loopVar, "i");
-    EXPECT_DOUBLE_EQ(nest.alpha, 0.5);
-    EXPECT_TRUE(nest.addressRecurrence);
-    EXPECT_DOUBLE_EQ(nest.fBefore, 1.0);
-    EXPECT_DOUBLE_EQ(nest.fAfter, 5.0);
-    EXPECT_EQ(nest.unrollDegree, 4);
-    EXPECT_EQ(nest.innerUnrollDegree, 2);
-    EXPECT_EQ(nest.fusedLoops, 1);
-    EXPECT_EQ(nest.scalarsReplaced, 3);
-    EXPECT_TRUE(nest.postludeInterchanged);
-    EXPECT_EQ(nest.note, "jammed 2 levels up; \"quoted\"\nand a newline");
-
-    EXPECT_EQ(parsed.leadingRefIds, (std::vector<int>{3, 1, 4}));
-
-    ASSERT_EQ(parsed.passes.size(), 2u);
-    EXPECT_EQ(parsed.passes[0].pass, "cluster");
-    EXPECT_DOUBLE_EQ(parsed.passes[0].wallMs, 1.25);
-    EXPECT_EQ(parsed.passes[0].actions, 2);
-    EXPECT_FALSE(parsed.passes[0].skipped);
-    EXPECT_EQ(parsed.passes[0].detail, "note");
-    EXPECT_TRUE(parsed.passes[1].skipped);
-
-    ASSERT_EQ(parsed.verifyFailures.size(), 1u);
-    EXPECT_EQ(parsed.verifyFailures[0].pass, "cluster");
-    EXPECT_EQ(parsed.verifyFailures[0].what, "checksum mismatch");
-
-    // And the rendering agrees after the round-trip.
-    EXPECT_EQ(parsed.toString(), report.toString());
-    EXPECT_EQ(parsed.toJson(), report.toJson());
-}
-
-TEST(Reports, FromJsonRejectsGarbage)
-{
-    PipelineReport out;
-    EXPECT_FALSE(PipelineReport::fromJson("", out));
-    EXPECT_FALSE(PipelineReport::fromJson("{", out));
-    EXPECT_FALSE(PipelineReport::fromJson("[1, 2]", out));
-    EXPECT_FALSE(PipelineReport::fromJson("{\"nests\": [3]}", out));
 }
 
 // ---------------------------------------------------------------------

@@ -2,18 +2,14 @@
  * @file
  * Telemetry report tool: merges the JSON artifacts the harness and
  * benches emit — SAMPLES time series (schema "mpc-samples-v1"),
- * BENCH_*.json, MODEL_VS_MEASURED_*.json, FIG4_mshr.json, and
- * ResultStore entries (schema "mpc-jobresult-v1") — into one terminal
- * (or markdown) report.
+ * BENCH_*.json, MODEL_VS_MEASURED_*.json and FIG4_mshr.json — into one
+ * terminal (or markdown) report.
  *
  * Usage:
- *   mpcreport [--markdown] [--store DIR] [FILE.json...]
+ *   mpcreport [--markdown] FILE.json...
  *
- * --store DIR walks a content-addressed ResultStore (the sharded
- * layout MPC_STORE and mpctune populate; see harness/store.hh), skipping
- * its quarantine/ subtree, and renders every stored JobResult in one
- * key-sorted table — the summary view of everything a sweep has
- * computed so far.
+ * Any other argument starting with '-' is rejected: the tool prints a
+ * message naming it and the usage to stderr, and exits with status 2.
  *
  * The report renders, per input kind:
  *  - a provenance table: every artifact's RunManifest (workload,
@@ -36,7 +32,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -49,6 +44,12 @@ namespace
 {
 
 using mpc::json::Value;
+
+void
+printUsage(std::FILE *out)
+{
+    std::fprintf(out, "usage: mpcreport [--markdown] FILE.json...\n");
+}
 
 // ---------------------------------------------------------------------
 // Table rendering (text or markdown).
@@ -153,7 +154,7 @@ struct Epoch
 struct Artifact
 {
     std::string path;
-    std::string kind;       ///< samples|bench|model|fig4|jobresult
+    std::string kind;       ///< samples|bench|model|fig4
     Manifest manifest;
     Value root;
 
@@ -225,8 +226,6 @@ classify(const Value &root)
     const std::string schema = mpc::json::strField(root, "schema");
     if (schema == "mpc-samples-v1")
         return "samples";
-    if (schema == "mpc-jobresult-v1")
-        return "jobresult";
     if (root.field("bench") != nullptr && root.field("runs") != nullptr)
         return "bench";
     if (root.field("apps") != nullptr)
@@ -422,104 +421,27 @@ reportModel(const Artifact &a)
     t.print();
 }
 
-/** One key-sorted table over every "jobresult" artifact (the --store
- *  walk, plus any store entry named explicitly). */
-void
-reportStore(const std::vector<Artifact> &artifacts)
-{
-    std::vector<const Artifact *> entries;
-    for (const Artifact &a : artifacts)
-        if (a.kind == "jobresult")
-            entries.push_back(&a);
-    if (entries.empty())
-        return;
-    heading(fmt("result store (%zu entries)", entries.size()));
-    Table t;
-    t.header = {"key", "workload", "config", "pipeline", "procs",
-                "cycles"};
-    for (const Artifact *a : entries) {
-        // The key is the file stem of the sharded entry path.
-        std::string key = a->path;
-        if (const size_t slash = key.rfind('/');
-            slash != std::string::npos)
-            key = key.substr(slash + 1);
-        if (const size_t dot = key.rfind('.');
-            dot != std::string::npos)
-            key = key.substr(0, dot);
-        const Manifest &m = a->manifest;
-        std::string cycles = "-";
-        const bool ok =
-            a->root.field("ok") != nullptr &&
-            a->root.field("ok")->t == Value::T::Bool &&
-            a->root.field("ok")->b;
-        if (const Value *res = a->root.field("result");
-            ok && res != nullptr && res->t == Value::T::Obj)
-            cycles = fmt("%.0f", mpc::json::numField(*res, "cycles"));
-        else if (!ok)
-            cycles = "FAILED";
-        t.rows.push_back({key, m.present ? m.workload : "-",
-                          m.present ? m.config : "-",
-                          m.present && !m.pipeline.empty() ? m.pipeline
-                                                           : "(base)",
-                          m.present ? std::to_string(m.procs) : "-",
-                          cycles});
-    }
-    std::sort(t.rows.begin(), t.rows.end());
-    t.print();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     std::vector<std::string> paths;
-    std::vector<std::string> stores;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--markdown") {
             g_markdown = true;
-        } else if (arg == "--store") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "mpcreport: --store needs DIR\n");
-                return 2;
-            }
-            stores.push_back(argv[++i]);
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: mpcreport [--markdown] [--store DIR] "
-                        "[FILE.json...]\n");
+            printUsage(stdout);
             return 0;
+        } else if (arg[0] == '-') {
+            std::fprintf(stderr, "mpcreport: unknown option '%s'\n",
+                         arg.c_str());
+            printUsage(stderr);
+            return 2;
         } else {
             paths.push_back(arg);
         }
-    }
-    // A store walk appends every entry under the sharded layout except
-    // the quarantine/ subtree, in sorted order so the report is
-    // deterministic regardless of directory enumeration order.
-    for (const std::string &dir : stores) {
-        std::error_code ec;
-        std::vector<std::string> found;
-        const std::filesystem::path quarantine =
-            std::filesystem::path(dir) / "quarantine";
-        for (std::filesystem::recursive_directory_iterator
-                 it(dir, ec),
-             end;
-             !ec && it != end; it.increment(ec)) {
-            if (it->path() == quarantine) {
-                it.disable_recursion_pending();
-                continue;
-            }
-            if (it->is_regular_file(ec) &&
-                it->path().extension() == ".json")
-                found.push_back(it->path().string());
-        }
-        if (ec) {
-            std::fprintf(stderr, "mpcreport: cannot walk %s: %s\n",
-                         dir.c_str(), ec.message().c_str());
-            return 2;
-        }
-        std::sort(found.begin(), found.end());
-        paths.insert(paths.end(), found.begin(), found.end());
     }
     if (paths.empty()) {
         std::fprintf(stderr,
@@ -571,7 +493,6 @@ main(int argc, char **argv)
         else if (a.kind == "model")
             reportModel(a);
     }
-    reportStore(artifacts);
     reportPairs(artifacts);
     return 0;
 }

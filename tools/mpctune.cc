@@ -11,11 +11,6 @@
  *   --config NAME    base | 1ghz | exemplar (default base)
  *   --budget N       candidates simulated after model pruning
  *                    (default 8)
- *   --cache DIR      content-addressed ResultStore directory
- *                    (harness/store.hh); reruns with the same
- *                    kernel/config/spec never re-simulate, and the
- *                    store is shared with MPC_STORE bench runs
- *                    (default: off)
  *   --json PREFIX    write MPCTUNE_<workload>.json under PREFIX
  *                    (a directory; default: off)
  *   --jobs N         parallel simulations (default: MPC_JOBS or
@@ -27,9 +22,8 @@
  * value, prints a message naming it and the usage to stderr, and exits
  * with status 2.
  *
- * stdout carries only the deterministic tuning report — identical
- * between a cold run and a fully cached rerun. Cache hit/miss counts
- * go to stderr.
+ * stdout carries only the deterministic tuning report: a rerun prints
+ * the same bytes.
  */
 
 #include <cstdio>
@@ -52,8 +46,7 @@ printUsage(std::FILE *out, const char *argv0)
                  "usage: %s <workload> [<workload>...]\n"
                  "  [--scale N] [--procs N] [--config base|1ghz|"
                  "exemplar]\n"
-                 "  [--budget N] [--cache DIR] [--json PREFIX] "
-                 "[--jobs N] | --help\n",
+                 "  [--budget N] [--json PREFIX] [--jobs N] | --help\n",
                  argv0);
 }
 
@@ -92,8 +85,6 @@ main(int argc, char **argv)
             opts.config = tool.configArg(next());
         else if (arg == "--budget")
             opts.simBudget = tool.intArg(arg, next(), 1);
-        else if (arg == "--cache")
-            opts.cacheDir = next();
         else if (arg == "--json")
             json_prefix = next();
         else if (arg == "--jobs")
@@ -108,18 +99,14 @@ main(int argc, char **argv)
     if (names.empty())
         tool.usageError("missing workload");
 
-    opts.scale = size.scale;
     if (!json_prefix.empty())
         std::filesystem::create_directories(json_prefix);
 
-    int total_hits = 0, total_misses = 0;
     for (const std::string &name : names) {
         const workloads::Workload w = workloads::makeByName(name, size);
         const harness::TuneReport report = harness::tune(w, opts);
         std::fputs(report.toString().c_str(), stdout);
         std::fputs("\n", stdout);
-        total_hits += report.cacheHits;
-        total_misses += report.cacheMisses;
         if (!json_prefix.empty()) {
             const std::string path =
                 json_prefix + "/MPCTUNE_" + name + ".json";
@@ -133,9 +120,5 @@ main(int argc, char **argv)
             std::fprintf(stderr, "mpctune: wrote %s\n", path.c_str());
         }
     }
-    if (!opts.cacheDir.empty())
-        std::fprintf(stderr,
-                     "mpctune: cache %d hit(s), %d miss(es)\n",
-                     total_hits, total_misses);
     return 0;
 }
