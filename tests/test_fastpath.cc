@@ -6,10 +6,13 @@
  * must be bit-identical between skip-ahead and cycle-stepping
  * (SystemConfig::skipAhead = false), which only these tests select.
  * Every figure-bench pair of Figures 3(a) and 3(b) is compared at
- * scale 1. Also covers the parallel experiment scheduler:
+ * scale 1, and its counters are pinned to a recorded fingerprint so a
+ * change that moves both step modes alike is caught too. Also covers
+ * the parallel experiment scheduler:
  * stable result ordering and determinism at any thread count.
  */
 
+#include <cstdint>
 #include <functional>
 #include <ostream>
 #include <stdexcept>
@@ -19,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include "codegen/codegen.hh"
+#include "common/json.hh"
+#include "harness/manifest.hh"
 #include "harness/parallel.hh"
 #include "harness/runner.hh"
 #include "system/system.hh"
@@ -131,6 +136,73 @@ expectBitIdentical(const sys::RunResult &skip, const sys::RunResult &ref)
                       "c2cLat");
 }
 
+/**
+ * FNV-1a over a decimal rendering of the integer counters
+ * expectBitIdentical compares. Integers only, so that Debug and Release
+ * builds agree.
+ */
+std::uint64_t
+fingerprint(const sys::RunResult &r)
+{
+    std::string text;
+    const auto put = [&text](std::uint64_t v) {
+        text += std::to_string(v);
+        text += ' ';
+    };
+    put(r.cycles);
+    put(r.instructions);
+    for (const auto &c : r.cores) {
+        put(c.doneTick);
+        put(c.retired);
+        put(c.loads);
+        put(c.stores);
+        put(c.branches);
+        put(c.mispredicts);
+        put(c.busySlots);
+        put(c.dataReadSlots);
+        put(c.dataWriteSlots);
+        put(c.syncSlots);
+        put(c.cpuSlots);
+        put(c.loadMissLatency.count());
+        put(c.longMissLatency.count());
+    }
+    for (const mem::Cache::Stats *s : {&r.l1, &r.l2}) {
+        put(s->loads);
+        put(s->loadHits);
+        put(s->loadMisses);
+        put(s->loadCoalesced);
+        put(s->writes);
+        put(s->writeHits);
+        put(s->writeMisses);
+        put(s->writeCoalesced);
+        put(s->upgrades);
+        put(s->rejectsPort);
+        put(s->rejectsMshr);
+        put(s->writebacks);
+        put(s->fills);
+        put(s->missLatency.count());
+        s->perRef.forEach([&](std::uint32_t ref, const auto &counts) {
+            put(ref);
+            put(counts.accesses);
+            put(counts.misses);
+        });
+    }
+    for (const OccupancyHistogram *h : {&r.l2ReadMshr, &r.l2TotalMshr}) {
+        put(h->totalTicks());
+        for (int l = 0; l <= h->maxLevel(); ++l)
+            put(h->ticksAt(l));
+    }
+    put(r.fabric.localReqs);
+    put(r.fabric.remoteReqs);
+    put(r.fabric.cacheToCache);
+    put(r.fabric.invalidations);
+    put(r.fabric.writebacks);
+    put(r.fabric.localLatency.count());
+    put(r.fabric.remoteLatency.count());
+    put(r.fabric.c2cLatency.count());
+    return harness::fnv1a(text);
+}
+
 sys::RunResult
 runMode(const std::string &app, int procs, bool clustered,
         bool skip_ahead)
@@ -145,13 +217,15 @@ runMode(const std::string &app, int procs, bool clustered,
     return harness::runWorkload(w, spec).result;
 }
 
-void
+/** Compare both step modes; returns the skip-ahead run's fingerprint. */
+std::uint64_t
 expectModeEquivalence(const std::string &app, int procs, bool clustered)
 {
     SCOPED_TRACE(app + "/" + std::to_string(procs) + "p" +
                  (clustered ? "/clust" : "/base"));
-    expectBitIdentical(runMode(app, procs, clustered, true),
-                       runMode(app, procs, clustered, false));
+    const sys::RunResult skip = runMode(app, procs, clustered, true);
+    expectBitIdentical(skip, runMode(app, procs, clustered, false));
+    return fingerprint(skip);
 }
 
 /** A figure-bench pair: an app at the processor count its figure runs
@@ -160,6 +234,36 @@ struct FigurePair
 {
     std::string app;
     int procs = 1;
+    std::uint64_t baseFingerprint = 0;  ///< recorded; 0 = none yet
+    std::uint64_t clustFingerprint = 0;
+};
+
+/**
+ * Recorded fingerprints of each pair's base and clustered runs. Only a
+ * change meant to alter simulated timing may re-record them; a host-side
+ * optimisation must reproduce them exactly.
+ */
+struct RecordedFingerprint
+{
+    const char *app;
+    int procs;
+    std::uint64_t base;
+    std::uint64_t clust;
+};
+const RecordedFingerprint recordedFingerprints[] = {
+    {"em3d", 1, 0x1ba390b4bca96311, 0xb26ad93e268f3d0a},
+    {"erlebacher", 1, 0xfb2c7c2991f50d97, 0xf6125b3870cd73d8},
+    {"fft", 1, 0x5e1121f71627328e, 0xe03169d6af5123fe},
+    {"lu", 1, 0x95771786a56c8f19, 0x04ee7edc371f2646},
+    {"mp3d", 1, 0x375b3831e441b8c4, 0x4b60b5e16a6751f3},
+    {"mst", 1, 0x4ba8c9017e4e8acc, 0xfca2ddb2cea16b2f},
+    {"ocean", 1, 0x82238ca49d4ba2ad, 0xb41d8779fa07394e},
+    {"em3d", 16, 0x194feeee870b7e6d, 0x9099ebee85308824},
+    {"erlebacher", 8, 0xce3d0515648fa441, 0x74b4b86b2fcf58b6},
+    {"fft", 16, 0x5bb07e12371c65cb, 0x8b901621ad628d45},
+    {"lu", 8, 0xcce15a030cad384b, 0xbe3a230d49d7e404},
+    {"mp3d", 8, 0xca263a17732723fd, 0xf7049aff4088070e},
+    {"ocean", 8, 0x7b2b19e177c839f6, 0x8efb6fb2ae750545},
 };
 
 void
@@ -183,7 +287,22 @@ figurePairs()
         if (const int procs = workloads::makeByName(app, size).defaultProcs;
             procs > 0)
             pairs.push_back({app, procs});
+    for (FigurePair &pair : pairs)
+        for (const RecordedFingerprint &rec : recordedFingerprints)
+            if (pair.app == rec.app && pair.procs == rec.procs) {
+                pair.baseFingerprint = rec.base;
+                pair.clustFingerprint = rec.clust;
+            }
     return pairs;
+}
+
+void
+expectFingerprint(std::uint64_t actual, std::uint64_t recorded,
+                  const char *variant)
+{
+    EXPECT_EQ(actual, recorded)
+        << variant << " counters changed; new fingerprint 0x"
+        << json::hex64(actual);
 }
 
 class SkipAheadFigurePairs : public ::testing::TestWithParam<FigurePair>
@@ -195,9 +314,13 @@ TEST_P(SkipAheadFigurePairs, BaseAndClusteredBitIdentical)
     // cycle-stepping oracle must reproduce every counter of both
     // variants. Clustered kernels create the long quiescent stretches
     // skip-ahead exploits; barriers and flags exercise its sync wakes.
+    // Both modes share the issue logic, so the recorded fingerprints
+    // also catch a change that moves them alike.
     const FigurePair &pair = GetParam();
-    expectModeEquivalence(pair.app, pair.procs, false);
-    expectModeEquivalence(pair.app, pair.procs, true);
+    expectFingerprint(expectModeEquivalence(pair.app, pair.procs, false),
+                      pair.baseFingerprint, "base");
+    expectFingerprint(expectModeEquivalence(pair.app, pair.procs, true),
+                      pair.clustFingerprint, "clustered");
 }
 
 INSTANTIATE_TEST_SUITE_P(
