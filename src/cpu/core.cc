@@ -10,12 +10,27 @@ namespace mpc::cpu
 using kisa::Op;
 using kisa::OpClass;
 
+namespace
+{
+
+/** Ring slots for a window of @p size entries; fatal unless the state
+ *  masks can hold it. */
+size_t
+ringSlots(int size, int max_size)
+{
+    if (size < 1 || size > max_size)
+        fatal("core windowSize %d is outside 1..%d", size, max_size);
+    return std::bit_ceil(static_cast<size_t>(size));
+}
+
+} // namespace
+
 Core::Core(int id, mem::EventQueue &eq, const CoreConfig &cfg,
            const kisa::Program &program, kisa::MemoryImage &mem,
            mem::MemHierarchy &hier, SyncDevice *sync)
     : id_(id), eq_(eq), cfg_(cfg), program_(program), mem_(mem),
       hier_(hier), sync_(sync), predictor_(cfg.predictorEntries),
-      window_(std::bit_ceil(static_cast<size_t>(cfg.windowSize))),
+      window_(ringSlots(cfg.windowSize, maxWindow)),
       windowMask_(window_.size() - 1),
       windowCap_(static_cast<std::uint64_t>(cfg.windowSize)),
       intWriter_(kisa::numIntRegs, 0), fpWriter_(kisa::numFpRegs, 0),
@@ -70,39 +85,87 @@ Core::tick()
     doDispatch(now);
     drainWriteBuffer(now);
 #ifndef NDEBUG
-    auditScanCounts();
+    auditMasks(now);
 #endif
     if (quiescence_)
         nextWake_ = computeNextWake(now);
 }
 
 void
-Core::auditScanCounts() const
+Core::auditMasks(Tick now) const
 {
 #ifndef NDEBUG
-    int pending = 0;
-    int completed = 0;
+    // Recount the masks and links from the entry states, oldest first.
+    // Producers are older than their consumers, so every link to an
+    // entry has been counted by the time the walk reaches it.
+    std::uint64_t blocked = 0, timed = 0, agen = 0, cache = 0;
+    std::uint64_t completed = 0, live = 0;
+    std::array<int, maxWindow> links{};
     for (std::uint64_t seq = headSeq_; seq < tailSeq_; ++seq) {
-        switch (slot(seq).state) {
+        const Entry &e = slot(seq);
+        const std::uint64_t b = bit(seq);
+        const auto id = static_cast<unsigned long long>(seq);
+        live |= b;
+        switch (e.state) {
           case EState::WaitOperands:
+            (e.pendingProds > 0 ? blocked : timed) |= b;
+            if (links[seq & windowMask_] != e.pendingProds)
+                panic("core %d seq %llu: %d links, pendingProds %d", id_,
+                      id, links[seq & windowMask_], int(e.pendingProds));
+            if ((e.pendingProds == 0 && e.readyTick <= now) !=
+                (producerDone(e.prodA, now) && producerDone(e.prodB, now)))
+                panic("core %d seq %llu: mask readiness disagrees with "
+                      "producerDone", id_, id);
+            break;
           case EState::WaitAgen:
+            agen |= b;
+            break;
           case EState::WaitCache:
-            ++pending;
+            cache |= b;
             break;
           case EState::Completed:
-            ++completed;
+            completed |= b;
+            if (e.completeTick > now && (completing_ & b) == 0)
+                panic("core %d seq %llu: completing_ misses a future "
+                      "completion", id_, id);
             break;
           case EState::Outstanding:
           case EState::WaitSync:
             break;
         }
+        const std::uint64_t consumers = consumers_[seq & windowMask_];
+        if (consumers != 0 && e.state == EState::Completed)
+            panic("core %d seq %llu: Completed entry keeps links", id_, id);
+        if ((consumers & ~opsBlocked_) != 0)
+            panic("core %d seq %llu: link to an entry not in opsBlocked_",
+                  id_, id);
+        for (std::uint64_t m = consumers; m != 0; m &= m - 1) {
+            const int c = std::countr_zero(m);
+            const Entry &consumer = window_[c];
+            if (consumer.prodA != seq + 1 && consumer.prodB != seq + 1)
+                panic("core %d seq %llu: link to a non-consumer", id_, id);
+            ++links[c];
+        }
     }
-    if (pending != issuePending_)
-        panic("issuePending_ drift: counted %d, tracked %d", pending,
-              issuePending_);
-    if (completed != completedInWindow_)
-        panic("completedInWindow_ drift: counted %d, tracked %d",
-              completed, completedInWindow_);
+    for (size_t s = 0; s < window_.size(); ++s)
+        if ((live >> s & 1) == 0 && consumers_[s] != 0)
+            panic("core %d: links from dead slot %zu", id_, s);
+    const auto expect = [this](const char *name, std::uint64_t counted,
+                               std::uint64_t tracked) {
+        if (counted != tracked)
+            panic("core %d: %s drift: counted %llx, tracked %llx", id_,
+                  name, static_cast<unsigned long long>(counted),
+                  static_cast<unsigned long long>(tracked));
+    };
+    expect("opsBlocked_", blocked, opsBlocked_);
+    expect("opsTimed_", timed, opsTimed_);
+    expect("agen_", agen, agen_);
+    expect("cacheWait_", cache, cacheWait_);
+    if ((completing_ & ~completed) != 0)
+        panic("core %d: completing_ holds entries that are not Completed",
+              id_);
+#else
+    (void)now;
 #endif
 }
 
@@ -114,15 +177,7 @@ Core::computeNextWake(Tick now)
     // state reference mode would see at the start of each skipped cycle.
     if (obs_ != nullptr)
         sleepWhy_ = classifyWhy();
-    sleepCat_ = StallCat::Cpu;
-    if (headSeq_ < tailSeq_) {
-        const Entry &head = slot(headSeq_);
-        if (head.isLoad)
-            sleepCat_ = StallCat::DataRead;
-        else if (head.instr->op == Op::Barrier ||
-                 head.instr->op == Op::FlagWait)
-            sleepCat_ = StallCat::Sync;
-    }
+    sleepCat_ = headStallCat();
 
     if (done())
         return maxTick;
@@ -146,7 +201,7 @@ Core::computeNextWake(Tick now)
     } else if (!haltDispatched_) {
         if (now < fetchResumeTick_) {
             // Mispredict redirect. maxTick = branch not yet issued; its
-            // issue is tracked through the window scan below.
+            // issue is tracked through the window masks below.
             if (fetchResumeTick_ != maxTick)
                 wake = std::min(wake, fetchResumeTick_);
         } else if (tailSeq_ - headSeq_ < windowCap_) {
@@ -157,47 +212,35 @@ Core::computeNextWake(Tick now)
                                    memQueueUsed_ >= cfg_.memQueueSize;
             if (!branch_gated && !mem_gated)
                 return now + 1; // can dispatch next cycle
-            // Gated: freed by a retire (window scan below), a write-
+            // Gated: freed by a retire (window masks below), a write-
             // buffer completion, or a branch-resolution event (both
             // call wakeAt).
         }
         // Window full: unblocked by a retire, tracked below.
     }
 
-    // Outstanding/WaitSync entries contribute nothing (their
-    // completion callbacks call wakeAt), so stop after the last
-    // scan-relevant entry — counted by issuePending_ plus
-    // completedInWindow_ — instead of walking the whole window.
-    int remaining = issuePending_ + completedInWindow_;
-    for (std::uint64_t seq = headSeq_; remaining > 0 && seq < tailSeq_;
-         ++seq) {
-        const Entry &e = slot(seq);
-        switch (e.state) {
-          case EState::WaitOperands:
-            --remaining;
-            // Issuable but blocked on issue width or a busy unit.
-            if (producerDone(e.prodA, now) && producerDone(e.prodB, now))
-                return now + 1;
-            // Producers are window entries themselves and are covered
-            // by their own cases in this scan.
-            break;
-          case EState::WaitAgen:
-            --remaining;
-            wake = std::min(wake, std::max(e.readyTick, now + 1));
-            break;
-          case EState::WaitCache:
-            return now + 1;     // cache retry mutates reject counters
-          case EState::Completed:
-            --remaining;
-            if (e.completeTick > now)
-                wake = std::min(wake, e.completeTick);
-            else if (seq == headSeq_)
-                return now + 1; // retire width exhausted this cycle
-            break;
-          case EState::Outstanding:
-          case EState::WaitSync:
-            break;              // completion callbacks call wakeAt
-        }
+    // Outstanding and WaitSync entries contribute nothing (their
+    // completion callbacks call wakeAt), and neither do WaitOperands
+    // entries with a pending producer: the producer is a window entry
+    // whose own state is covered here.
+    if (cacheWait_ != 0)
+        return now + 1;         // cache retry mutates reject counters
+    for (std::uint64_t m = opsTimed_; m != 0; m &= m - 1)
+        if (window_[std::countr_zero(m)].readyTick <= now)
+            return now + 1;     // issuable; blocked on width or a unit
+    if (headSeq_ < tailSeq_) {
+        const Entry &head = slot(headSeq_);
+        if (head.state == EState::Completed && head.completeTick <= now)
+            return now + 1;     // retire width exhausted this cycle
+    }
+    for (std::uint64_t m = agen_; m != 0; m &= m - 1)
+        wake = std::min(wake, window_[std::countr_zero(m)].readyTick);
+    for (std::uint64_t m = completing_; m != 0; m &= m - 1) {
+        const int s = std::countr_zero(m);
+        if (window_[s].completeTick > now)
+            wake = std::min(wake, window_[s].completeTick);
+        else
+            completing_ &= ~(std::uint64_t{1} << s);
     }
     return std::max(wake, now + 1);
 }
@@ -228,6 +271,48 @@ Core::recordProducers(Entry &entry, const kisa::Instr &instr,
     if (instr.rb != noReg) {
         entry.prodB = meta.srcBFp ? fpWriter_[instr.rb]
                                   : intWriter_[instr.rb];
+    }
+}
+
+void
+Core::linkProducers(std::uint64_t seq)
+{
+    Entry &e = slot(seq);
+    const auto link = [&](std::uint64_t prod) {
+        if (prod == 0 || prod - 1 < headSeq_)
+            return;     // no producer, or retired (hence completed)
+        const Entry &p = slot(prod - 1);
+        if (p.state == EState::Completed) {
+            e.readyTick = std::max(e.readyTick, p.completeTick);
+        } else {
+            consumers_[(prod - 1) & windowMask_] |= bit(seq);
+            ++e.pendingProds;
+        }
+    };
+    link(e.prodA);
+    if (e.prodB != e.prodA)
+        link(e.prodB);
+    (e.pendingProds > 0 ? opsBlocked_ : opsTimed_) |= bit(seq);
+}
+
+void
+Core::markCompleted(std::uint64_t seq, Tick t)
+{
+    Entry &e = slot(seq);
+    e.state = EState::Completed;
+    e.completeTick = t;
+    opsTimed_ &= ~bit(seq);
+    agen_ &= ~bit(seq);
+    completing_ |= bit(seq);
+    std::uint64_t &waiting = consumers_[seq & windowMask_];
+    for (; waiting != 0; waiting &= waiting - 1) {
+        const int c = std::countr_zero(waiting);
+        Entry &consumer = window_[c];
+        consumer.readyTick = std::max(consumer.readyTick, t);
+        if (--consumer.pendingProds == 0) {
+            opsBlocked_ &= ~(std::uint64_t{1} << c);
+            opsTimed_ |= std::uint64_t{1} << c;
+        }
     }
 }
 
@@ -310,8 +395,8 @@ Core::doRetire(Tick now)
             monitor_->onRetire(now, e.pc, headSeq_);
         if (obs_ != nullptr)
             obs_->retired(now, e.pc);
+        completing_ &= ~bit(headSeq_);
         ++headSeq_;
-        --completedInWindow_;   // retiring entries are always Completed
         ++retired;
         ++stats_.retired;
         if (haltRetired_)
@@ -323,25 +408,24 @@ Core::doRetire(Tick now)
     if (stall_slots <= 0 || haltRetired_)
         return;
 
-    StallCat cat = StallCat::Cpu;
-    if (headSeq_ < tailSeq_) {
-        const Entry &head = slot(headSeq_);
-        const Op op = head.instr->op;
-        if (head.isLoad && head.state != EState::Completed)
-            cat = StallCat::DataRead;
-        else if (head.isLoad)
-            cat = StallCat::DataRead;  // completed later this cycle
-        else if (op == Op::Barrier || op == Op::FlagWait)
-            cat = StallCat::Sync;
-        else if (head.isStore && head.state != EState::Completed)
-            cat = StallCat::Cpu;  // store waits on operands/AGEN
-        else
-            cat = StallCat::Cpu;
-    }
-    attributeStall(cat, stall_slots);
+    attributeStall(headStallCat(), stall_slots);
     if (obs_ != nullptr)
         obs_->stallRange(now, now + 1, classifyWhy(),
                          static_cast<std::uint64_t>(stall_slots));
+}
+
+StallCat
+Core::headStallCat() const
+{
+    if (headSeq_ >= tailSeq_)
+        return StallCat::Cpu;
+    const Entry &head = slot(headSeq_);
+    if (head.isLoad)
+        return StallCat::DataRead;  // Completed or not
+    const Op op = head.instr->op;
+    if (op == Op::Barrier || op == Op::FlagWait)
+        return StallCat::Sync;
+    return StallCat::Cpu;           // stores wait on operands or agen
 }
 
 obs::StallWhy
@@ -423,10 +507,8 @@ Core::tryLoadAccess(std::uint64_t seq, Tick now)
         e.memAddr, e.instr->refId,
         [this, seq](Tick t) {
             wakeAt(t);
-            Entry &entry = slot(seq);
-            entry.state = EState::Completed;
-            ++completedInWindow_;
-            entry.completeTick = t;
+            markCompleted(seq, t);
+            const Entry &entry = slot(seq);
             const auto latency =
                 static_cast<double>(t - entry.issueTick);
             const Tick l1_hit = hier_.l1().config().hitLatency;
@@ -446,7 +528,7 @@ Core::tryLoadAccess(std::uint64_t seq, Tick now)
         return false;
     }
     e.state = EState::Outstanding;
-    --issuePending_;
+    cacheWait_ &= ~bit(seq);
     e.issueTick = now;
     e.coalesced = info.coalesced;
     if (obs_ != nullptr)
@@ -457,90 +539,98 @@ Core::tryLoadAccess(std::uint64_t seq, Tick now)
 void
 Core::doIssue(Tick now)
 {
-    // The scan acts only on WaitOperands/WaitAgen/WaitCache entries;
-    // stop once all of them (counted by issuePending_) have been
-    // visited instead of walking the rest of the window. Processing an
-    // entry never puts a *later* entry into a pending state, so a
-    // single forward pass with a snapshot count is exact.
-    int remaining = issuePending_;
+    // Candidates: WaitCache entries (they retry every cycle) and the
+    // WaitOperands/WaitAgen entries whose readyTick has come. Handling
+    // one never makes another a candidate this cycle: caches answer
+    // through events, the entries that complete at or before now (Nop,
+    // store, prefetch) write no register, and unit results complete at
+    // now + latency, which is at least now + 1. So a snapshot taken here
+    // is exact.
+    std::uint64_t ready = cacheWait_;
+    for (std::uint64_t m = opsTimed_ | agen_; m != 0; m &= m - 1) {
+        const int s = std::countr_zero(m);
+        if (window_[s].readyTick <= now)
+            ready |= std::uint64_t{1} << s;
+    }
+    if (ready == 0)
+        return;
+
+    // Oldest first: the slots from the head's up, then those below it.
+    const std::uint64_t head_slot = headSeq_ & windowMask_;
+    const std::uint64_t below_head = (std::uint64_t{1} << head_slot) - 1;
     int budget = cfg_.issueWidth;
-    for (std::uint64_t seq = headSeq_; remaining > 0 && seq < tailSeq_;
-         ++seq) {
-        Entry &e = slot(seq);
-        switch (e.state) {
-          case EState::WaitOperands: {
-            --remaining;
-            if (budget <= 0)
-                break;
-            if (!producerDone(e.prodA, now) || !producerDone(e.prodB, now))
-                break;
-            const kisa::InstrMeta &m = *e.meta;
-            const OpClass cls = m.cls;
-            if (cls == OpClass::Nop) {
-                e.state = EState::Completed;
-                --issuePending_;
-                ++completedInWindow_;
-                e.completeTick = now;
-                break;
-            }
-            const Tick done = tryFunctionalUnit(cls, now);
-            if (done == maxTick)
-                break;  // no free unit this cycle
-            --budget;
-            if (m.isMem) {
-                // Address generation; cache access follows.
-                e.state = EState::WaitAgen;
-                e.readyTick = done;
-            } else {
-                e.state = EState::Completed;
-                --issuePending_;
-                ++completedInWindow_;
-                e.completeTick = done;
-                if (m.isBranch) {
-                    eq_.schedule(done, [this] {
-                        --unresolvedBranches_;
-                        wakeAt(eq_.now());  // may unblock dispatch
-                    });
-                    if (e.mispredicted)
-                        fetchResumeTick_ = done + cfg_.mispredictPenalty;
-                }
-            }
+    for (std::uint64_t part : {ready & ~below_head, ready & below_head}) {
+        for (; part != 0; part &= part - 1) {
+            const auto s = static_cast<std::uint64_t>(std::countr_zero(part));
+            const std::uint64_t seq =
+                headSeq_ + ((s - head_slot) & windowMask_);
+            issueEntry(seq, now, budget);
+        }
+    }
+}
+
+void
+Core::issueEntry(std::uint64_t seq, Tick now, int &budget)
+{
+    Entry &e = slot(seq);
+    switch (e.state) {
+      case EState::WaitOperands: {
+        if (budget <= 0)
             break;
-          }
-          case EState::WaitAgen:
-            --remaining;
-            if (now >= e.readyTick) {
-                if (e.isStore) {
-                    // Store is retire-ready once its address and data
-                    // are known; memory is updated from the write
-                    // buffer after retirement (release consistency).
-                    e.state = EState::Completed;
-                    --issuePending_;
-                    ++completedInWindow_;
-                    e.completeTick = e.readyTick;
-                } else if (e.isPrefetch) {
-                    // Fire-and-forget; dropped if the cache rejects.
-                    hier_.load(e.memAddr, e.instr->refId,
-                               mem::CompletionFn{});
-                    e.state = EState::Completed;
-                    --issuePending_;
-                    ++completedInWindow_;
-                    e.completeTick = e.readyTick;
-                } else {
-                    e.state = EState::WaitCache;
-                    tryLoadAccess(seq, now);
-                }
-            }
-            break;
-          case EState::WaitCache:
-            --remaining;
-            tryLoadAccess(seq, now);
-            break;
-          case EState::Outstanding:
-          case EState::WaitSync:
-          case EState::Completed:
+        const kisa::InstrMeta &m = *e.meta;
+        const OpClass cls = m.cls;
+        if (cls == OpClass::Nop) {
+            markCompleted(seq, now);
             break;
         }
+        const Tick done = tryFunctionalUnit(cls, now);
+        if (done == maxTick)
+            break;  // no free unit this cycle
+        --budget;
+        if (m.isMem) {
+            // Address generation; cache access follows.
+            e.state = EState::WaitAgen;
+            e.readyTick = done;
+            opsTimed_ &= ~bit(seq);
+            agen_ |= bit(seq);
+        } else {
+            markCompleted(seq, done);
+            if (m.isBranch) {
+                eq_.schedule(done, [this] {
+                    --unresolvedBranches_;
+                    wakeAt(eq_.now());  // may unblock dispatch
+                });
+                if (e.mispredicted)
+                    fetchResumeTick_ = done + cfg_.mispredictPenalty;
+            }
+        }
+        break;
+      }
+      case EState::WaitAgen:
+        if (e.isStore) {
+            // Store is retire-ready once its address and data are
+            // known; memory is updated from the write buffer after
+            // retirement (release consistency).
+            markCompleted(seq, e.readyTick);
+        } else if (e.isPrefetch) {
+            // Fire-and-forget; dropped if the cache rejects.
+            hier_.load(e.memAddr, e.instr->refId, mem::CompletionFn{});
+            markCompleted(seq, e.readyTick);
+        } else {
+            e.state = EState::WaitCache;
+            agen_ &= ~bit(seq);
+            cacheWait_ |= bit(seq);
+            tryLoadAccess(seq, now);
+        }
+        break;
+      case EState::WaitCache:
+        tryLoadAccess(seq, now);
+        break;
+      case EState::Outstanding:
+      case EState::WaitSync:
+      case EState::Completed:
+        panic("core %d seq %llu: issue candidate in a passive state", id_,
+              static_cast<unsigned long long>(seq));
     }
 }
 
@@ -566,9 +656,7 @@ Core::doDispatch(Tick now)
                 if (monitor_)
                     monitor_->onDispatch(now, blocked.pc, res, regs_);
                 pc_ = res.nextPc;
-                blocked.state = EState::Completed;
-                ++completedInWindow_;
-                blocked.completeTick = now;
+                markCompleted(blockedSyncSeq_, now);
                 dispatchBlockedSync_ = false;
             } else {
                 // Barrier: released by the SyncDevice callback.
@@ -599,9 +687,7 @@ Core::doDispatch(Tick now)
         recordProducers(e, in, m);
 
         if (in.op == Op::Halt) {
-            e.state = EState::Completed;
-            ++completedInWindow_;
-            e.completeTick = now;
+            markCompleted(seq, now);
             haltDispatched_ = true;
             return;
         }
@@ -622,19 +708,16 @@ Core::doDispatch(Tick now)
             blockedSyncSeq_ = seq;
             sync_->arrive(id_, [this, seq] {
                 wakeAt(eq_.now());
-                Entry &entry = slot(seq);
-                entry.state = EState::Completed;
-                ++completedInWindow_;
-                entry.completeTick = eq_.now();
+                markCompleted(seq, eq_.now());
             });
             // The last arriver's callback fires synchronously; loop
             // re-checks dispatchBlockedSync_ next iteration.
             continue;
         }
 
-        // Ordinary instruction: functionally execute at dispatch.
-        // The entry stays WaitOperands, so it joins the issue scan.
-        ++issuePending_;
+        // Ordinary instruction: functionally execute at dispatch. It
+        // waits in WaitOperands until its producers have completed.
+        linkProducers(seq);
         auto res = kisa::step(program_, pc_, regs_, mem_);
         const int branch_pc = pc_;
         if (monitor_)

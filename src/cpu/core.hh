@@ -13,17 +13,20 @@
  * Execution-time attribution follows the paper (Section 5.2): each
  * cycle, retired/retireWidth is counted as busy time; the remainder is
  * charged to the first instruction that could not retire — data-read
- * stall for incomplete loads, sync stall for Barrier/FlagWait, data-
- * write stall for stores blocked on a full write buffer, CPU stall
- * otherwise. Cycles with an empty window count as CPU (fetch/mispredict)
- * time; instruction-memory stalls are structurally zero because the
- * kernel programs are resident (the paper also measured near-zero
- * I-stalls for these loop-intensive codes).
+ * stall for a load, sync stall for Barrier/FlagWait, CPU stall
+ * otherwise (headStallCat). Stores retire once their address and data
+ * are known, so a full write buffer never stalls retirement: it blocks
+ * dispatch through the shared memory queue, and no cycle is charged to
+ * data-write stall (dataWriteSlots stays 0). Cycles with an empty window
+ * count as CPU (fetch/mispredict) time; instruction-memory stalls are
+ * structurally zero because the kernel programs are resident (the paper
+ * also measured near-zero I-stalls for these loop-intensive codes).
  */
 
 #ifndef MPC_CPU_CORE_HH
 #define MPC_CPU_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -189,9 +192,13 @@ class Core
         int pc = 0;
         EState state = EState::WaitOperands;
         Tick completeTick = maxTick;
-        Tick readyTick = 0;         ///< operands-ready lower bound
+        /** WaitOperands: latest producer completeTick seen so far (the
+         *  operands are ready at it once pendingProds is 0). WaitAgen:
+         *  the tick address generation finishes. */
+        Tick readyTick = 0;
         std::uint64_t prodA = 0;    ///< producer seqs (0 = none; seq+1)
         std::uint64_t prodB = 0;
+        std::uint8_t pendingProds = 0;  ///< linked producers not Completed
         Addr memAddr = invalidAddr;
         bool isLoad = false;
         bool isStore = false;
@@ -211,18 +218,37 @@ class Core
     {
         return window_[seq & windowMask_];
     }
+    /** The bit of @p seq's slot in the state masks. */
+    std::uint64_t bit(std::uint64_t seq) const
+    {
+        return std::uint64_t{1} << (seq & windowMask_);
+    }
 
-    /** True if producer @p prod (seq+1 encoding) has completed. */
+    /** True if producer @p prod (seq+1 encoding) has completed. The
+     *  scheduler tracks this through links and masks instead; this is
+     *  the definition auditMasks checks them against. */
     bool producerDone(std::uint64_t prod, Tick now) const;
 
     void doRetire(Tick now);
     void doIssue(Tick now);
+    /** Issue-stage step of one candidate entry; consumes @p budget
+     *  when it claims a functional unit. */
+    void issueEntry(std::uint64_t seq, Tick now, int &budget);
     void doDispatch(Tick now);
     void drainWriteBuffer(Tick now);
 
     /** Record the producer seqs for the sources of @p instr. */
     void recordProducers(Entry &entry, const kisa::Instr &instr,
                          const kisa::InstrMeta &meta);
+
+    /** Enter ordinary instruction @p seq into WaitOperands: link it to
+     *  each in-flight producer that is not Completed yet, and fold the
+     *  complete ticks of the Completed ones into its readyTick. */
+    void linkProducers(std::uint64_t seq);
+
+    /** The only way an entry becomes Completed: sets its completeTick to
+     *  @p t and releases the consumers linked to it. */
+    void markCompleted(std::uint64_t seq, Tick t);
 
     /** Try to claim a functional unit of @p cls at @p now.
      *  @return completion tick, or maxTick if no unit is free. */
@@ -231,6 +257,11 @@ class Core
     /** Attribute the non-busy remainder of a cycle (or of a batch of
      *  skipped stall cycles). */
     void attributeStall(StallCat cat, std::uint64_t slots);
+
+    /** Category charged for a cycle that cannot retire the window head:
+     *  DataRead for a load, Sync for Barrier/FlagWait, Cpu otherwise
+     *  (an empty window included). */
+    StallCat headStallCat() const;
 
     /** Refine the stall into the observability taxonomy. Pure function
      *  of frozen window state (no clock reads), so the answer is stable
@@ -260,8 +291,12 @@ class Core
     /** Launch a load into the memory hierarchy. */
     bool tryLoadAccess(std::uint64_t seq, Tick now);
 
-    /** Debug-build recount of issuePending_/completedInWindow_. */
-    void auditScanCounts() const;
+    /** Debug-build check of the state masks and producer links against
+     *  a recount from the entries and against producerDone. */
+    void auditMasks(Tick now) const;
+
+    /** Most window entries the state masks can hold (one bit each). */
+    static constexpr int maxWindow = 64;
 
     const int id_;
     mem::EventQueue &eq_;
@@ -278,9 +313,9 @@ class Core
     /**
      * Window ring buffer, sized to the next power of two above the
      * configured capacity so slot() indexes with a mask instead of a
-     * runtime modulo (a division on every window access otherwise —
-     * slot() sits inside every per-cycle scan). At most windowCap_
-     * seqs are in flight, so masked indices never collide.
+     * runtime modulo, and each slot has one bit in the state masks (at
+     * most maxWindow slots). At most windowCap_ seqs are in flight, so
+     * masked indices never collide.
      */
     std::vector<Entry> window_;
     std::uint64_t windowMask_ = 0;  ///< window_.size() - 1
@@ -289,16 +324,21 @@ class Core
     std::uint64_t tailSeq_ = 0;     ///< next to allocate
 
     /**
-     * Scan-relevance counters: how many window entries are in a state
-     * the doIssue / computeNextWake scans act on (everything except
-     * Outstanding and WaitSync, whose case arms are no-ops). The scans
-     * stop once they have visited that many relevant entries, so a
-     * window full of outstanding misses costs O(few) instead of
-     * O(windowSize) per tick. Maintained at every state transition;
-     * audited against a full recount in debug builds (auditScanCounts).
+     * Per-state bitmasks over the ring's slots (bit = seq & windowMask_),
+     * so doIssue and computeNextWake visit only entries that can act,
+     * never Outstanding or WaitSync entries or those still waiting on a
+     * producer. Updated at every state transition; audited against a
+     * recount in debug builds (auditMasks).
      */
-    int issuePending_ = 0;          ///< WaitOperands|WaitAgen|WaitCache
-    int completedInWindow_ = 0;     ///< Completed, not yet retired
+    std::uint64_t opsBlocked_ = 0;  ///< WaitOperands, a producer pending
+    std::uint64_t opsTimed_ = 0;    ///< WaitOperands, ready at readyTick
+    std::uint64_t agen_ = 0;        ///< WaitAgen
+    std::uint64_t cacheWait_ = 0;   ///< WaitCache
+    /** Completed entries whose completeTick may still lie ahead; pruned
+     *  lazily by computeNextWake and at retire. */
+    std::uint64_t completing_ = 0;
+    /** Per slot: the opsBlocked_ entries waiting on that slot's result. */
+    std::array<std::uint64_t, maxWindow> consumers_{};
 
     /** Youngest in-flight producer per register (seq+1; 0 = none). */
     std::vector<std::uint64_t> intWriter_;

@@ -7,6 +7,9 @@
  * window-bounded miss overlap, and stall-time attribution.
  */
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "kisa/program.hh"
@@ -71,21 +74,52 @@ TEST(Core, MatchesInterpreterOnLoopKernel)
         return b.finish();
     };
 
-    kisa::MemoryImage mem_timing, mem_func;
-    Program p1 = build(), p2 = build();
+    kisa::MemoryImage mem_func;
+    Program p2 = build();
     kisa::Interpreter interp(mem_func);
     interp.addCore(p2);
-    interp.run();
+    const std::uint64_t steps = interp.run();
 
-    std::vector<Program> programs;
-    programs.push_back(std::move(p1));
-    sys::System system(sys::baseConfig(), std::move(programs),
-                       mem_timing);
-    system.run();
+    // 64 is the base window. The odd sizes leave ring slots unused and
+    // wrap the ring short of a power of two; 1 serialises everything.
+    // Debug builds audit the scheduler's state masks on every tick.
+    for (int window : {1, 3, 7, 56, 64}) {
+        SCOPED_TRACE("window " + std::to_string(window));
+        kisa::MemoryImage mem_timing;
+        std::vector<Program> programs;
+        programs.push_back(build());
+        auto cfg = sys::baseConfig();
+        cfg.core.windowSize = window;
+        sys::System system(cfg, std::move(programs), mem_timing);
+        const auto res = system.run();
 
-    EXPECT_EQ(system.core(0).regs().intRegs[3],
-              interp.regs(0).intRegs[3]);
-    EXPECT_EQ(mem_timing.ld64(0x10000), mem_func.ld64(0x10000));
+        EXPECT_EQ(res.instructions, steps);
+        EXPECT_EQ(system.core(0).stats().retired, steps);
+        for (int r = 0; r < kisa::numIntRegs; ++r)
+            EXPECT_EQ(system.core(0).regs().intRegs[r],
+                      interp.regs(0).intRegs[r])
+                << "r" << r;
+        EXPECT_EQ(mem_timing.ld64(0x10000), mem_func.ld64(0x10000));
+    }
+}
+
+TEST(CoreDeathTest, RejectsWindowTheMasksCannotHold)
+{
+    for (int window : {0, 65}) {
+        auto cfg = sys::baseConfig();
+        cfg.core.windowSize = window;
+        EXPECT_EXIT(
+            {
+                AsmBuilder b("halt");
+                b.halt();
+                kisa::MemoryImage image;
+                std::vector<Program> programs;
+                programs.push_back(b.finish());
+                sys::System system(cfg, std::move(programs), image);
+            },
+            testing::ExitedWithCode(1),
+            "windowSize " + std::to_string(window) + " is outside 1..64");
+    }
 }
 
 TEST(Core, LoadMissStallsRetire)

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <ostream>
 #include <stdexcept>
 #include <string>
@@ -145,61 +146,34 @@ std::uint64_t
 fingerprint(const sys::RunResult &r)
 {
     std::string text;
-    const auto put = [&text](std::uint64_t v) {
-        text += std::to_string(v);
-        text += ' ';
+    const auto put = [&text](std::initializer_list<std::uint64_t> values) {
+        for (std::uint64_t v : values)
+            text += std::to_string(v) + ' ';
     };
-    put(r.cycles);
-    put(r.instructions);
-    for (const auto &c : r.cores) {
-        put(c.doneTick);
-        put(c.retired);
-        put(c.loads);
-        put(c.stores);
-        put(c.branches);
-        put(c.mispredicts);
-        put(c.busySlots);
-        put(c.dataReadSlots);
-        put(c.dataWriteSlots);
-        put(c.syncSlots);
-        put(c.cpuSlots);
-        put(c.loadMissLatency.count());
-        put(c.longMissLatency.count());
-    }
+    put({r.cycles, r.instructions});
+    for (const auto &c : r.cores)
+        put({c.doneTick, c.retired, c.loads, c.stores, c.branches,
+             c.mispredicts, c.busySlots, c.dataReadSlots, c.dataWriteSlots,
+             c.syncSlots, c.cpuSlots, c.loadMissLatency.count(),
+             c.longMissLatency.count()});
     for (const mem::Cache::Stats *s : {&r.l1, &r.l2}) {
-        put(s->loads);
-        put(s->loadHits);
-        put(s->loadMisses);
-        put(s->loadCoalesced);
-        put(s->writes);
-        put(s->writeHits);
-        put(s->writeMisses);
-        put(s->writeCoalesced);
-        put(s->upgrades);
-        put(s->rejectsPort);
-        put(s->rejectsMshr);
-        put(s->writebacks);
-        put(s->fills);
-        put(s->missLatency.count());
+        put({s->loads, s->loadHits, s->loadMisses, s->loadCoalesced,
+             s->writes, s->writeHits, s->writeMisses, s->writeCoalesced,
+             s->upgrades, s->rejectsPort, s->rejectsMshr, s->writebacks,
+             s->fills, s->missLatency.count()});
         s->perRef.forEach([&](std::uint32_t ref, const auto &counts) {
-            put(ref);
-            put(counts.accesses);
-            put(counts.misses);
+            put({ref, counts.accesses, counts.misses});
         });
     }
     for (const OccupancyHistogram *h : {&r.l2ReadMshr, &r.l2TotalMshr}) {
-        put(h->totalTicks());
+        put({h->totalTicks()});
         for (int l = 0; l <= h->maxLevel(); ++l)
-            put(h->ticksAt(l));
+            put({h->ticksAt(l)});
     }
-    put(r.fabric.localReqs);
-    put(r.fabric.remoteReqs);
-    put(r.fabric.cacheToCache);
-    put(r.fabric.invalidations);
-    put(r.fabric.writebacks);
-    put(r.fabric.localLatency.count());
-    put(r.fabric.remoteLatency.count());
-    put(r.fabric.c2cLatency.count());
+    const auto &f = r.fabric;
+    put({f.localReqs, f.remoteReqs, f.cacheToCache, f.invalidations,
+         f.writebacks, f.localLatency.count(), f.remoteLatency.count(),
+         f.c2cLatency.count()});
     return harness::fnv1a(text);
 }
 
