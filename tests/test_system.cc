@@ -322,6 +322,32 @@ TEST(Determinism, IdenticalRunsIdenticalCycles)
     EXPECT_EQ(cycles[0], cycles[1]);
 }
 
+TEST(SystemDeathTest, BarrierNobodyJoinsHitsTheDeadlockFatal)
+{
+    // Core 0 waits at a barrier core 1 never reaches. Skip-ahead finds
+    // no pending event and no core wake, so run() jumps straight to its
+    // max-cycles guard instead of spinning there cycle by cycle.
+    const auto deadlocked = [] {
+        kisa::MemoryImage image;
+        std::vector<Program> ps;
+        {
+            AsmBuilder b("waits");
+            b.barrier();
+            b.halt();
+            ps.push_back(b.finish());
+        }
+        {
+            AsmBuilder b("leaves");
+            b.iLoadImm(1, 7);
+            b.halt();
+            ps.push_back(b.finish());
+        }
+        sys::System s(sys::baseConfig(), std::move(ps), image);
+        s.run();
+    };
+    EXPECT_DEATH(deadlocked(), "exceeded [0-9]+ cycles - deadlock");
+}
+
 TEST(Configs, PresetsDiffer)
 {
     const auto base = sys::baseConfig();

@@ -265,6 +265,36 @@ TEST(Validate, StalledCoreTripsWatchdog)
     EXPECT_TRUE(s.validator()->stopRequested());
 }
 
+TEST(Validate, BarrierNobodyJoinsTripsWatchdog)
+{
+    // Core 0 waits at a barrier core 1 never reaches: no event and no
+    // core wake is pending. The validator's recurring audit keeps the
+    // event queue alive, so the run ends on a watchdog, not on the
+    // max-cycles fatal an unvalidated run dies with (test_system).
+    kisa::MemoryImage image;
+    std::vector<Program> ps;
+    {
+        AsmBuilder b("waits");
+        b.barrier();
+        b.halt();
+        ps.push_back(b.finish());
+    }
+    {
+        AsmBuilder b("leaves");
+        b.iLoadImm(1, 7);
+        b.halt();
+        ps.push_back(b.finish());
+    }
+    auto cfg = validatedConfig();
+    cfg.validateStallTimeout = 20000;
+    sys::System s(cfg, std::move(ps), image);
+    s.run();
+    ASSERT_FALSE(s.validator()->failures().empty());
+    for (const auto &failure : s.validator()->failures())
+        EXPECT_EQ(failure.what.rfind("watchdog:", 0), 0u) << failure.what;
+    EXPECT_TRUE(s.validator()->stopRequested());
+}
+
 TEST(Validate, TraceDumpedAsChromeJsonOnFailure)
 {
     const std::string path = "test_validate_trace.json";
