@@ -1,12 +1,16 @@
 #include "harness/parallel.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
+
+#include "common/logging.hh"
 
 namespace mpc::harness
 {
@@ -19,13 +23,18 @@ ParallelRunner::ParallelRunner(int threads)
 int
 ParallelRunner::defaultThreads()
 {
-    if (const char *env = std::getenv("MPC_JOBS")) {
-        const int n = std::atoi(env);
-        if (n >= 1)
-            return n;
+    const char *env = std::getenv("MPC_JOBS");
+    if (env == nullptr || *env == '\0') {
+        const unsigned hw = std::thread::hardware_concurrency();
+        return hw > 0 ? static_cast<int>(hw) : 1;
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    const std::string value = env;
+    errno = 0;
+    const long n = std::strtol(env, nullptr, 10);
+    if (value.find_first_not_of("0123456789") != std::string::npos ||
+        errno == ERANGE || n < 1 || n > INT_MAX)
+        fatal("MPC_JOBS: expected a positive integer, got '%s'", env);
+    return static_cast<int>(n);
 }
 
 void

@@ -39,7 +39,8 @@ class ParallelRunner
     /** @param threads 0 selects defaultThreads(). */
     explicit ParallelRunner(int threads = 0);
 
-    /** MPC_JOBS if set (clamped to >= 1), else hardware concurrency. */
+    /** MPC_JOBS if set and not empty, else hardware concurrency. Any
+     *  MPC_JOBS but a positive decimal integer is fatal. */
     static int defaultThreads();
 
     int threads() const { return threads_; }

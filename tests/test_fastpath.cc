@@ -8,11 +8,12 @@
  * Every figure-bench pair of Figures 3(a) and 3(b) is compared at
  * scale 1, and its counters are pinned to a recorded fingerprint so a
  * change that moves both step modes alike is caught too. Also covers
- * the parallel experiment scheduler:
- * stable result ordering and determinism at any thread count.
+ * the parallel experiment scheduler: stable result ordering and
+ * determinism at any thread count, and its MPC_JOBS parsing.
  */
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <initializer_list>
 #include <ostream>
@@ -414,6 +415,53 @@ TEST(ParallelRunner, DefaultThreadsIsPositive)
     EXPECT_GE(harness::ParallelRunner::defaultThreads(), 1);
     EXPECT_GE(harness::ParallelRunner(0).threads(), 1);
     EXPECT_EQ(harness::ParallelRunner(3).threads(), 3);
+}
+
+/** Sets MPC_JOBS for one scope and restores its previous state. */
+class ScopedJobsEnv
+{
+  public:
+    explicit ScopedJobsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("MPC_JOBS")) {
+            had_ = true;
+            saved_ = old;
+        }
+        setenv("MPC_JOBS", value, 1);
+    }
+    ~ScopedJobsEnv()
+    {
+        if (had_)
+            setenv("MPC_JOBS", saved_.c_str(), 1);
+        else
+            unsetenv("MPC_JOBS");
+    }
+
+  private:
+    bool had_ = false;
+    std::string saved_;
+};
+
+TEST(ParallelRunner, MpcJobsTakesAPositiveIntegerAndIgnoresEmpty)
+{
+    {
+        const ScopedJobsEnv env("3");
+        EXPECT_EQ(harness::ParallelRunner::defaultThreads(), 3);
+    }
+    const ScopedJobsEnv env("");
+    EXPECT_GE(harness::ParallelRunner::defaultThreads(), 1);
+}
+
+TEST(ParallelRunnerDeathTest, MalformedMpcJobsIsFatal)
+{
+    for (const char *value : {"0", "-2", "abc", "4x", " 4"}) {
+        const ScopedJobsEnv env(value);
+        EXPECT_DEATH(harness::ParallelRunner::defaultThreads(),
+                     std::string("MPC_JOBS: expected a positive "
+                                 "integer, got '") +
+                         value + "'")
+            << value;
+    }
 }
 
 } // namespace
