@@ -30,7 +30,6 @@
 #include "mem/eventq.hh"
 #include "mem/mainmem.hh"
 #include "noc/mesh.hh"
-#include "obs/registry.hh"
 
 namespace mpc::coherence
 {
@@ -123,20 +122,6 @@ class CoherenceFabric
     mem::DownstreamPort *port(NodeId n);
 
     const FabricStats &stats() const { return stats_; }
-
-    /** Publish the directory/coherence counters on the telemetry
-     *  registry (epoch Sampler). */
-    void
-    registerMetrics(obs::MetricsRegistry &reg,
-                    const std::string &prefix) const
-    {
-        reg.addCounter(prefix + ".localReqs", &stats_.localReqs);
-        reg.addCounter(prefix + ".remoteReqs", &stats_.remoteReqs);
-        reg.addCounter(prefix + ".cacheToCache", &stats_.cacheToCache);
-        reg.addCounter(prefix + ".invalidations",
-                       &stats_.invalidations);
-        reg.addCounter(prefix + ".writebacks", &stats_.writebacks);
-    }
 
     /**
      * Iterate directory entries: fn(lineAddr, state, sharers, owner)

@@ -6,8 +6,9 @@
  * plus the escaping/number-formatting helpers those emitters share.
  *
  * This is deliberately not a general JSON library: inputs are our own
- * BENCH_*.json, run-manifest and SAMPLES files, and the parser accepts
- * exactly what the writers emit (plus whitespace).
+ * BENCH_*.json, MODEL_VS_MEASURED_*.json, FIG4_mshr.json and run-manifest
+ * files, and the parser accepts what the writers emit (plus
+ * whitespace), except the literal null.
  */
 
 #ifndef MPC_COMMON_JSON_HH
@@ -62,12 +63,12 @@ std::string strField(const Value &v, const std::string &name);
 std::string hex64(std::uint64_t v);
 
 /**
- * Incremental JSON object builder: the one shared writer behind every
- * artifact emitter that embeds a RunManifest (BENCH_*.json,
- * MODEL_VS_MEASURED_*.json, FIG4_mshr.json, tune caches, SAMPLES
- * time series). Fields render in call order; strings are escaped;
- * `raw` splices pre-rendered JSON (a nested object or array) without
- * quoting. str() yields the complete object, no trailing newline.
+ * Incremental JSON object builder behind the RunManifest every bench
+ * artifact embeds (BENCH_*.json, MODEL_VS_MEASURED_*.json,
+ * FIG4_mshr.json, SCALE64.json) and perfbench's result records.
+ * Fields render in call order; strings are escaped; `raw` splices
+ * pre-rendered JSON (a nested object or array) without quoting. str()
+ * yields the complete object, no trailing newline.
  */
 class ObjectWriter
 {

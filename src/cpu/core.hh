@@ -43,7 +43,6 @@
 #include "mem/eventq.hh"
 #include "mem/hierarchy.hh"
 #include "obs/metrics.hh"
-#include "obs/registry.hh"
 
 namespace mpc::cpu
 {
@@ -131,26 +130,6 @@ class Core
      *  hooks read frozen pipeline state only, so attaching never
      *  changes simulated results. */
     void attachObs(obs::CoreObs *obs) { obs_ = obs; }
-
-    /** Publish this core's counters on the telemetry registry (epoch
-     *  Sampler); names are "<prefix>.<counter>". */
-    void
-    registerMetrics(obs::MetricsRegistry &reg,
-                    const std::string &prefix) const
-    {
-        reg.addCounter(prefix + ".retired", &stats_.retired);
-        reg.addCounter(prefix + ".loads", &stats_.loads);
-        reg.addCounter(prefix + ".stores", &stats_.stores);
-        reg.addCounter(prefix + ".branches", &stats_.branches);
-        reg.addCounter(prefix + ".mispredicts", &stats_.mispredicts);
-        reg.addCounter(prefix + ".busySlots", &stats_.busySlots);
-        reg.addCounter(prefix + ".dataReadSlots",
-                       &stats_.dataReadSlots);
-        reg.addCounter(prefix + ".dataWriteSlots",
-                       &stats_.dataWriteSlots);
-        reg.addCounter(prefix + ".syncSlots", &stats_.syncSlots);
-        reg.addCounter(prefix + ".cpuSlots", &stats_.cpuSlots);
-    }
 
     /**
      * Fault injection for validation tests: at the first tick at or

@@ -32,7 +32,6 @@ RunManifest::toJson() const
         .field("pipeline", pipeline)
         .field("obs", obs)
         .field("validate", validate)
-        .field("samplePeriod", static_cast<std::uint64_t>(samplePeriod))
         .field("host", host);
     return w.str();
 }
@@ -101,45 +100,18 @@ hostString()
     return strprintf("%s %s %s", u.sysname, u.release, u.machine);
 }
 
-namespace
-{
-
-/** The fields both manifest flavours derive the same way. */
 RunManifest
-commonManifest(const sys::SystemConfig &config, int procs)
+makeInvocationManifest(const std::string &label,
+                       const sys::SystemConfig &config, int procs)
 {
     RunManifest m;
+    m.workload = label;
     m.configName = config.name;
     m.configHash = configHash(config, procs);
     m.procs = procs;
     m.obs = config.obsMetrics;
     m.validate = config.validate;
-    m.samplePeriod = config.samplePeriod;
     m.host = hostString();
-    return m;
-}
-
-} // namespace
-
-RunManifest
-makeRunManifest(const std::string &workload,
-                const std::string &kernel_text,
-                const sys::SystemConfig &config, int procs,
-                const std::string &pipeline)
-{
-    RunManifest m = commonManifest(config, procs);
-    m.workload = workload;
-    m.kernelHash = fnv1a(kernel_text);
-    m.pipeline = pipeline;
-    return m;
-}
-
-RunManifest
-makeInvocationManifest(const std::string &label,
-                       const sys::SystemConfig &config, int procs)
-{
-    RunManifest m = commonManifest(config, procs);
-    m.workload = label;
     return m;
 }
 

@@ -1,18 +1,17 @@
 /**
  * @file
  * RunManifest: the provenance record embedded in every JSON artifact
- * the harness and benches emit (BENCH_*.json, MODEL_VS_MEASURED_*.json,
- * FIG4_mshr.json and SAMPLES time series).
+ * the benches emit (BENCH_*.json, MODEL_VS_MEASURED_*.json,
+ * FIG4_mshr.json and SCALE64.json).
  *
  * An artifact without provenance is a number without units: once a
- * sweep leaves hundreds of JSON files, nothing but the
- * manifest says which kernel text, machine configuration, and pipeline
- * spec produced each one. The manifest
- * identifies a run by content hashes — FNV-1a of the final
- * (transformed) kernel IR text and of the simulation-relevant
- * configuration fields — so two artifacts disagree exactly when their
- * inputs did. mpcreport cross-checks the config hashes of each
- * workload's artifacts when merging them and warns on mismatches.
+ * sweep leaves hundreds of JSON files, nothing but the manifest says
+ * which bench, machine configuration and processor count produced
+ * each one. The manifest identifies the configuration by a content
+ * hash — FNV-1a of the simulation-relevant configuration fields — so
+ * two artifacts disagree exactly when their inputs did. mpcreport
+ * cross-checks the config hashes of each workload's artifacts when
+ * merging them and warns on mismatches.
  *
  * configKey() is the single source of truth for "the configuration
  * fields a simulation result depends on".
@@ -24,7 +23,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/types.hh"
 #include "system/config.hh"
 
 namespace mpc::harness
@@ -33,11 +31,12 @@ namespace mpc::harness
 /** FNV-1a over a byte string (kernel and config content hashes). */
 std::uint64_t fnv1a(const std::string &text);
 
-/** Self-describing provenance of one run or bench invocation
- *  (schema "mpc-manifest-v1"). Every field always renders. */
+/** Self-describing provenance of a bench invocation (schema
+ *  "mpc-manifest-v1"). Every field always renders, so every artifact
+ *  carries the same keys. */
 struct RunManifest
 {
-    /** Workload name, or the bench/tool name for aggregates. */
+    /** The bench or tool name. */
     std::string workload;
     /** FNV-1a of the kernel IR text (0 = aggregate, no single kernel). */
     std::uint64_t kernelHash = 0;
@@ -46,11 +45,11 @@ struct RunManifest
     std::uint64_t configHash = 0;
     /** Processor count (0 = aggregate over mixed counts). */
     int procs = 1;
-    /** Pipeline spec ("" = base / untransformed). */
+    /** Pipeline spec ("" = base, or an aggregate of base and
+     *  clustered runs). */
     std::string pipeline;
     bool obs = false;       ///< metrics collectors attached
     bool validate = false;  ///< validation layer attached
-    Tick samplePeriod = 0;  ///< epoch sampler period (0 = off)
     /** Host identification (hostString() of the producing host). */
     std::string host;
 
@@ -74,20 +73,10 @@ std::uint64_t configHash(const sys::SystemConfig &config, int procs);
 std::string hostString();
 
 /**
- * Manifest for one simulated run: @p config must be the scaled,
- * env-applied configuration the System is constructed with, and
- * @p kernel_text the final kernel (after partition + transforms) —
- * runWorkload builds this right before constructing the System.
- */
-RunManifest makeRunManifest(const std::string &workload,
-                            const std::string &kernel_text,
-                            const sys::SystemConfig &config, int procs,
-                            const std::string &pipeline);
-
-/**
  * Manifest for a bench/tool invocation that aggregates several runs
- * (BENCH_*.json, MODEL_VS_MEASURED_*.json, FIG4_mshr.json): no single
- * kernel hash; @p procs 0 when the runs mix processor counts.
+ * (BENCH_*.json, MODEL_VS_MEASURED_*.json, FIG4_mshr.json,
+ * SCALE64.json): no single kernel hash or pipeline; @p procs 0 when the
+ * runs mix processor counts.
  */
 RunManifest makeInvocationManifest(const std::string &label,
                                    const sys::SystemConfig &config,

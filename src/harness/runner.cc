@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <set>
 
-#include "harness/manifest.hh"
 #include "harness/profiler.hh"
 
 namespace mpc::harness
@@ -44,22 +43,6 @@ scaleConfig(sys::SystemConfig config, const workloads::Workload &workload)
     if (const char *trace = std::getenv("MPC_TRACE");
         trace != nullptr && trace[0] != '\0')
         config.obsTracePath = trace;
-
-    // Opt-in epoch sampler: MPC_SAMPLE=<cycles> sets the sampling
-    // period; MPC_SAMPLE_PATH overrides the time-series JSON path
-    // (default SAMPLES.json; runWorkload uniquifies it per run, like
-    // the trace path).
-    if (const char *env = std::getenv("MPC_SAMPLE");
-        env != nullptr && env[0] != '\0') {
-        const long long period = std::atoll(env);
-        if (period > 0) {
-            config.samplePeriod = static_cast<Tick>(period);
-            config.samplePath = "SAMPLES.json";
-            if (const char *path = std::getenv("MPC_SAMPLE_PATH");
-                path != nullptr && path[0] != '\0')
-                config.samplePath = path;
-        }
-    }
     return config;
 }
 
@@ -172,10 +155,6 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
         config.obsTracePath =
             uniquifyTracePath(config.obsTracePath, workload.name,
                               spec.clustered, spec.procs);
-    if (!config.samplePath.empty())
-        config.samplePath =
-            uniquifyTracePath(config.samplePath, workload.name,
-                              spec.clustered, spec.procs);
 
     ir::Kernel kernel = workload.kernel.clone();
     const bool transforming = spec.clustered || !spec.pipeline.empty();
@@ -194,13 +173,13 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
             std::move(partition.run(kernel, partition_params).passes);
     }
 
-    std::string spec_string;  // "" = base (untransformed)
     if (transforming) {
         const transform::DriverParams params = makeDriverParams(
             workload, kernel, config, spec.procs, spec.maxUnroll);
-        spec_string = spec.pipeline.empty()
-                          ? transform::pipelineSpecFromParams(params)
-                          : spec.pipeline;
+        const std::string spec_string =
+            spec.pipeline.empty()
+                ? transform::pipelineSpecFromParams(params)
+                : spec.pipeline;
         transform::Pipeline pipeline =
             makePipeline(spec_string, workload, spec);
         out.report = pipeline.run(kernel, params);
@@ -215,16 +194,6 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
     out.kernelText = kernel.toString();
 
     const int procs = std::max(spec.procs, 1);
-
-    // Provenance for every artifact this run emits: built from the
-    // final (transformed) kernel text and the scaled, env-applied
-    // configuration, and handed to the System before construction so
-    // the sampler's time-series JSON can embed it.
-    out.manifestJson =
-        makeRunManifest(workload.name, out.kernelText, config, procs,
-                        spec_string)
-            .toJson();
-    config.manifestJson = out.manifestJson;
 
     std::set<std::uint32_t> leading;
     for (int ref_id : out.report.leadingRefIds)

@@ -46,9 +46,6 @@ struct WorkloadRun
     /** No nests for base runs; passes may still list "partition". */
     transform::DriverReport report;
     std::string kernelText;             ///< final (possibly transformed)
-    /** RunManifest JSON of this run (harness/manifest.hh): embed it in
-     *  any artifact derived from @ref result. */
-    std::string manifestJson;
 };
 
 /** Prepare and simulate @p workload under @p spec. */

@@ -25,7 +25,6 @@
 #include "mem/eventq.hh"
 #include "mem/mshr.hh"
 #include "obs/metrics.hh"
-#include "obs/registry.hh"
 
 namespace mpc::mem
 {
@@ -158,24 +157,6 @@ class Cache
     const Stats &stats() const { return stats_; }
     const MshrFile &mshrs() const { return mshrs_; }
     const CacheConfig &config() const { return cfg_; }
-
-    /** Publish this cache's miss counters and MSHR occupancy gauges on
-     *  the telemetry registry (epoch Sampler). */
-    void
-    registerMetrics(obs::MetricsRegistry &reg,
-                    const std::string &prefix) const
-    {
-        reg.addCounter(prefix + ".loads", &stats_.loads);
-        reg.addCounter(prefix + ".loadMisses", &stats_.loadMisses);
-        reg.addCounter(prefix + ".loadCoalesced",
-                       &stats_.loadCoalesced);
-        reg.addCounter(prefix + ".writes", &stats_.writes);
-        reg.addCounter(prefix + ".writeMisses", &stats_.writeMisses);
-        reg.addCounter(prefix + ".rejectsMshr", &stats_.rejectsMshr);
-        reg.addCounter(prefix + ".writebacks", &stats_.writebacks);
-        reg.addCounter(prefix + ".fills", &stats_.fills);
-        mshrs_.registerMetrics(reg, prefix + ".mshr");
-    }
 
     /** Flush time-weighted stats at end of simulation. */
     void finalizeStats(Tick now) { mshrs_.finalizeStats(now); }

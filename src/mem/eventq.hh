@@ -36,7 +36,6 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
-#include "obs/registry.hh"
 
 namespace mpc::mem
 {
@@ -106,24 +105,6 @@ class EventQueue
 
     /** True if no events are pending. */
     bool empty() const { return wheelCount_ == 0 && farHeap_.empty(); }
-
-    /** Pending events across the wheel and the far heap. */
-    std::uint64_t
-    pendingEvents() const
-    {
-        return static_cast<std::uint64_t>(wheelCount_) +
-               static_cast<std::uint64_t>(farHeap_.size());
-    }
-
-    /** Publish the queue-depth gauge on the telemetry registry (epoch
-     *  Sampler); sampled at epoch boundaries only. */
-    void
-    registerMetrics(obs::MetricsRegistry &reg,
-                    const std::string &prefix) const
-    {
-        reg.addGauge(prefix + ".pending",
-                     [this] { return pendingEvents(); });
-    }
 
     /** Tick of the earliest pending event (maxTick if none). */
     Tick

@@ -15,13 +15,10 @@
 
 #include <vector>
 
-#include <string>
-
 #include "common/continuation.hh"
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "obs/registry.hh"
 
 namespace mpc::mem
 {
@@ -188,21 +185,6 @@ class MshrFile
     }
 
     int numEntries() const { return static_cast<int>(entries_.size()); }
-
-    /** Publish occupancy gauges on the telemetry registry (sampled at
-     *  epoch boundaries only; the O(entries) scans are off the hot
-     *  path). */
-    void
-    registerMetrics(obs::MetricsRegistry &reg,
-                    const std::string &prefix) const
-    {
-        reg.addGauge(prefix + ".occupancy", [this] {
-            return static_cast<std::uint64_t>(occupancy());
-        });
-        reg.addGauge(prefix + ".readOccupancy", [this] {
-            return static_cast<std::uint64_t>(readOccupancy());
-        });
-    }
 
     /** Read-only view of one valid entry, for validation audits. */
     struct EntrySnapshot

@@ -137,14 +137,6 @@ class MissTracker
     /** Total MSHR occupancy as of the last transition. */
     int currentTotal() const { return lastTotal_; }
 
-    /**
-     * Charge elapsed time up to @p now at the current occupancy without
-     * changing it (epoch-boundary accounting for the Sampler). Same
-     * no-transition path finalize() takes: idempotent, never opens or
-     * closes a cluster, never emits a counter sample.
-     */
-    void sync(Tick now) { advance(now, lastReads_, lastTotal_); }
-
     /** Flush time accounting and any open cluster at end of run. */
     void finalize(Tick now);
 

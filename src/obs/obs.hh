@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "obs/metrics.hh"
-#include "obs/registry.hh"
-#include "obs/sampler.hh"
 #include "obs/trace.hh"
 
 namespace mpc::obs
@@ -37,12 +35,6 @@ struct ObsConfig
      *  ("" = no end-of-run dump; failure dumps name their own path). */
     std::string tracePath;
     std::size_t traceCapacity = 1 << 16;
-    /** Epoch sampling period in cycles (0 = no sampler; implies
-     *  metrics when set). MPC_SAMPLE=<cycles> through the harness. */
-    Tick samplePeriod = 0;
-    /** Where to write the sampled time series ("" with a sampler means
-     *  the caller dumps via sampler() itself). */
-    std::string samplePath;
 };
 
 class Observer
@@ -52,23 +44,12 @@ class Observer
     {
         if (cfg_.trace || !cfg_.tracePath.empty())
             tracer_ = std::make_unique<Tracer>(cfg_.traceCapacity);
-        if (cfg_.samplePeriod > 0) {
-            registry_ = std::make_unique<MetricsRegistry>();
-            sampler_ = std::make_unique<Sampler>(cfg_.samplePeriod,
-                                                 registry_.get());
-        }
     }
 
     const ObsConfig &config() const { return cfg_; }
 
     /** Shared tracer, or null when only metrics were requested. */
     Tracer *tracer() { return tracer_.get(); }
-
-    /** Component-counter registry, or null without a sampler. */
-    MetricsRegistry *registry() { return registry_.get(); }
-
-    /** Epoch sampler, or null unless ObsConfig::samplePeriod. */
-    Sampler *sampler() { return sampler_.get(); }
 
     /** Should cpu/mem hooks be wired at all? */
     bool collecting() const
@@ -82,8 +63,6 @@ class Observer
     {
         trackers_.push_back(std::make_unique<MissTracker>(
             node, num_mshrs, tracer_.get()));
-        if (sampler_)
-            sampler_->addNode(node, trackers_.back().get());
         return trackers_.back().get();
     }
 
@@ -93,8 +72,6 @@ class Observer
     {
         cores_.push_back(std::make_unique<CoreObs>(
             core_id, tracer_.get(), tracker));
-        if (sampler_)
-            sampler_->addCore(core_id, cores_.back().get());
         return cores_.back().get();
     }
 
@@ -106,8 +83,6 @@ class Observer
             t->finalize(now);
         for (auto &c : cores_)
             c->finalize(now);
-        if (sampler_)
-            sampler_->finalize(now);
     }
 
     /** Merge every collector into one RunMetrics snapshot. */
@@ -116,21 +91,9 @@ class Observer
     /** Dump the trace (no-op without a tracer). @return success. */
     bool dumpTrace(const std::string &path) const;
 
-    /** Dump the sampled time series with @p manifest_json embedded
-     *  (no-op without a sampler). @return success. */
-    bool
-    dumpSamples(const std::string &path,
-                const std::string &manifest_json) const
-    {
-        return sampler_ == nullptr ||
-               sampler_->writeJson(path, manifest_json);
-    }
-
   private:
     ObsConfig cfg_;
     std::unique_ptr<Tracer> tracer_;
-    std::unique_ptr<MetricsRegistry> registry_;
-    std::unique_ptr<Sampler> sampler_;
     std::vector<std::unique_ptr<MissTracker>> trackers_;
     std::vector<std::unique_ptr<CoreObs>> cores_;
 };

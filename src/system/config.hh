@@ -86,21 +86,6 @@ struct SystemConfig
     std::string obsTracePath;
     /** Ring capacity of the observability tracer (events retained). */
     std::size_t obsTraceCapacity = 1 << 16;
-
-    /**
-     * Epoch-sampling period in cycles for the time-resolved telemetry
-     * layer (src/obs Sampler); 0 = off. Implies the metrics collectors.
-     * Sampling reads frozen state only, so results and stdout stay
-     * bit-identical. Enabled by MPC_SAMPLE=<cycles> via the harness.
-     */
-    Tick samplePeriod = 0;
-    /** Where System::run writes the sampled time series JSON (empty
-     *  with samplePeriod set = keep in memory; tests read it there). */
-    std::string samplePath;
-    /** Pre-rendered RunManifest JSON object embedded in telemetry
-     *  artifacts this run emits (empty = embed null). The harness
-     *  builds it after the transform pipeline fixes the kernel. */
-    std::string manifestJson;
 };
 
 /**

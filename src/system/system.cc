@@ -46,16 +46,13 @@ System::System(const SystemConfig &cfg,
 
     sync_ = std::make_unique<cpu::SyncDevice>(n);
 
-    // Observability: created when metrics, tracing, or epoch sampling
-    // are requested, or when the validation layer needs the shared
-    // tracer. Sampling implies the metrics collectors (it diffs them).
+    // Observability: created when metrics or tracing are requested, or
+    // when the validation layer needs the shared tracer.
     obs::ObsConfig ocfg;
-    ocfg.metrics = cfg_.obsMetrics || cfg_.samplePeriod > 0;
+    ocfg.metrics = cfg_.obsMetrics;
     ocfg.tracePath = cfg_.obsTracePath;
     ocfg.trace = !cfg_.obsTracePath.empty() || cfg_.validate;
     ocfg.traceCapacity = cfg_.obsTraceCapacity;
-    ocfg.samplePeriod = cfg_.samplePeriod;
-    ocfg.samplePath = cfg_.samplePath;
     if (ocfg.metrics || ocfg.trace)
         observer_ = std::make_unique<obs::Observer>(ocfg);
 
@@ -112,23 +109,7 @@ System::System(const SystemConfig &cfg,
                 tr->setTrackName(tracker->counterTrackId(),
                                  strprintf("node %d mshr", i));
             }
-            if (obs::MetricsRegistry *reg = observer_->registry()) {
-                cores_.back()->registerMetrics(
-                    *reg, strprintf("core%d", i));
-                if (!hiers_.back()->singleLevel())
-                    hiers_.back()->l1().registerMetrics(
-                        *reg, strprintf("node%d.l1", i));
-                hiers_.back()->l2().registerMetrics(
-                    *reg, strprintf("node%d.l2", i));
-            }
         }
-    }
-
-    if (observer_ && observer_->registry() != nullptr) {
-        obs::MetricsRegistry &reg = *observer_->registry();
-        eq_.registerMetrics(reg, "eventq");
-        if (fabric_)
-            fabric_->registerMetrics(reg, "fabric");
     }
 
     if (cfg_.validate) {
@@ -164,11 +145,7 @@ System::run(Tick max_cycles)
 {
     const int n = numCores();
     const bool skip = cfg_.skipAhead;
-    obs::Sampler *const sampler =
-        observer_ ? observer_->sampler() : nullptr;
     Tick cycle = eq_.now();
-    if (sampler != nullptr)
-        sampler->begin(cycle);
     for (;;) {
         bool all_done = true;
         for (auto &core : cores_) {
@@ -186,12 +163,6 @@ System::run(Tick max_cycles)
                   "runaway kernel?",
                   static_cast<unsigned long long>(max_cycles));
         eq_.advanceTo(cycle);
-        // Sample after the event drain, before core ticks — the same
-        // point in both step modes. Sampling reads frozen state only,
-        // so the extra skip-mode loop stops it forces (below) cannot
-        // change simulation results.
-        if (sampler != nullptr)
-            sampler->maybeSample(cycle);
         if (skip) {
             // Quiescence skip-ahead: tick only cores with useful work.
             // Wakes are re-read per core, in core order, because a tick
@@ -206,19 +177,8 @@ System::run(Tick max_cycles)
                     next = std::min(next, core->nextWake());
             // next == maxTick with cores unfinished is a deadlock;
             // jump to the guard above, as reference mode would spin to.
-            // With a validator attached, record it and stop gracefully
-            // instead (its audit events normally keep the queue alive
-            // until a watchdog can diagnose the stall).
-            if (next == maxTick && validator_) {
-                validator_->onNoEvent(cycle);
-                break;
-            }
-            // Stop at epoch boundaries too, so skip-ahead epochs land
-            // exactly where reference mode's do. Checked after the
-            // deadlock branch: a sampler tick is always finite and
-            // must not mask a dead event queue.
-            if (sampler != nullptr && next != maxTick)
-                next = std::min(next, sampler->nextDue());
+            // A validator never gets here: its audit event keeps the
+            // queue alive until a watchdog stops the run.
             cycle = next == maxTick ? max_cycles
                                     : std::max(cycle + 1, next);
         } else {
@@ -287,10 +247,6 @@ System::run(Tick max_cycles)
             !observer_->dumpTrace(cfg_.obsTracePath))
             warn(strprintf("obs: could not write trace to %s",
                            cfg_.obsTracePath.c_str()));
-        if (!cfg_.samplePath.empty() &&
-            !observer_->dumpSamples(cfg_.samplePath, cfg_.manifestJson))
-            warn(strprintf("obs: could not write samples to %s",
-                           cfg_.samplePath.c_str()));
     }
     return res;
 }

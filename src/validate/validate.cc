@@ -406,16 +406,6 @@ Validator::auditProgress(Tick now)
     }
 }
 
-void
-Validator::onNoEvent(Tick now)
-{
-    recordFailure(now,
-                  "deadlock: no future event and no core wake with "
-                  "unfinished cores\n" +
-                      diagnostics());
-    stopRequested_ = true;
-}
-
 std::string
 Validator::diagnostics() const
 {

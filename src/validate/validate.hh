@@ -161,9 +161,6 @@ class Validator
     /** End-of-run checks: MSHR drain, golden models halted, final audit. */
     void finalize(Tick now);
 
-    /** Skip-ahead found no future event with cores unfinished. */
-    void onNoEvent(Tick now);
-
     /** Record a failure; dumps the trace (first failure only) and, with
      *  failFast, aborts the simulation. */
     void recordFailure(Tick tick, std::string what);

@@ -121,22 +121,6 @@ TEST(Runner, ClusteredRunCarriesReportAndKernel)
     EXPECT_FALSE(run.report.nests.empty());
     EXPECT_NE(run.kernelText.find("for"), std::string::npos);
     EXPECT_GT(run.result.cycles, 0u);
-
-    // The run's manifest hashes the config the simulator actually ran
-    // (spec.config scaled to the workload's input) and the final,
-    // transformed kernel, and names the default pipeline spec.
-    json::Value man;
-    ASSERT_TRUE(json::parse(run.manifestJson, man)) << run.manifestJson;
-    EXPECT_EQ(json::strField(man, "schema"), "mpc-manifest-v1");
-    EXPECT_EQ(json::strField(man, "workload"), w.name);
-    const sys::SystemConfig scaled = scaleConfig(spec.config, w);
-    EXPECT_EQ(json::strField(man, "configHash"),
-              json::hex64(configHash(scaled, 1)));
-    EXPECT_EQ(json::strField(man, "kernelHash"),
-              json::hex64(fnv1a(run.kernelText)));
-    EXPECT_EQ(json::strField(man, "pipeline"),
-              transform::pipelineSpecFromParams(makeDriverParams(
-                  w, w.kernel, scaled, 1, spec.maxUnroll)));
 }
 
 TEST(Runner, BaseRunHasNoReport)
@@ -498,7 +482,6 @@ TEST(Manifest, ConfigKeyStableAndSensitiveToSimRelevantFields)
     auto observed = config;
     observed.obsMetrics = true;
     observed.validate = true;
-    observed.samplePeriod = 1000;
     EXPECT_EQ(key, configKey(observed, 4));
     // Cycle-stepping is bit-identical to skip-ahead (test_fastpath), so
     // it must not move the key either.
@@ -512,26 +495,43 @@ TEST(Manifest, ConfigKeyStableAndSensitiveToSimRelevantFields)
 TEST(Manifest, RunManifestJsonCarriesEveryField)
 {
     auto config = sys::baseConfig();
-    config.samplePeriod = 5000;
-    const RunManifest m = makeRunManifest(
-        "em3d", "kernel text", config, 4, "fuse,cluster");
+    config.obsMetrics = true;
+    const RunManifest m = makeInvocationManifest("fig3a_multi", config, 4);
     const std::string text = m.toJson();
 
     json::Value root;
     ASSERT_TRUE(json::parse(text, root)) << text;
     EXPECT_EQ(json::strField(root, "schema"), "mpc-manifest-v1");
-    EXPECT_EQ(json::strField(root, "workload"), "em3d");
+    EXPECT_EQ(json::strField(root, "workload"), "fig3a_multi");
     EXPECT_EQ(json::strField(root, "config"), config.name);
-    EXPECT_EQ(json::strField(root, "pipeline"), "fuse,cluster");
     EXPECT_EQ(json::numField(root, "procs"), 4.0);
-    EXPECT_EQ(json::numField(root, "samplePeriod"), 5000.0);
-    EXPECT_EQ(json::strField(root, "kernelHash"),
-              json::hex64(fnv1a("kernel text")));
     EXPECT_EQ(json::strField(root, "configHash"),
               json::hex64(configHash(config, 4)));
-    // Retired fields: the tier and step mode cannot change a result.
-    EXPECT_EQ(root.field("execTier"), nullptr);
-    EXPECT_EQ(root.field("stepMode"), nullptr);
+    ASSERT_NE(root.field("obs"), nullptr);
+    EXPECT_TRUE(root.field("obs")->b);
+    ASSERT_NE(root.field("validate"), nullptr);
+    EXPECT_FALSE(root.field("validate")->b);
+    EXPECT_EQ(json::strField(root, "host"), hostString());
+    // An invocation aggregates runs: no single kernel or pipeline, but
+    // the keys still render.
+    EXPECT_EQ(json::strField(root, "kernelHash"), json::hex64(0));
+    EXPECT_EQ(json::strField(root, "pipeline"), "");
+
+    // These keys, in this order and no others, are the artifacts'
+    // contract: retired fields (the exec tier, the step mode, the
+    // sampling period) stay out.
+    const char *const keys[] = {"schema",     "workload", "kernelHash",
+                                "config",     "configHash", "procs",
+                                "pipeline",   "obs",      "validate",
+                                "host"};
+    std::size_t at = 0;
+    for (const char *key : keys) {
+        const std::size_t found =
+            text.find(std::string("\"") + key + "\": ", at);
+        ASSERT_NE(found, std::string::npos) << key << " in " << text;
+        at = found;
+    }
+    EXPECT_EQ(root.obj.size(), std::size(keys)) << text;
 }
 
 TEST(Manifest, SplicesIntoArtifactWritersVerbatim)

@@ -3,8 +3,9 @@
  * Command-line contract of the mpclust, mpctune and mpcreport tools:
  * --help succeeds with the usage on stdout, and unknown options,
  * workloads or malformed values fail with exit status 2 and a message
- * naming them, before any simulation runs. The benches' MPC_SCALE gets
- * the same treatment: a bad value is fatal before anything is printed.
+ * naming them, before any simulation runs; so does an mpcreport input
+ * of no known artifact shape. The benches' MPC_SCALE gets the same
+ * treatment: a bad value is fatal before anything is printed.
  *
  * Runs the real binaries (paths baked in by CMake as MPCLUST_BIN,
  * MPCTUNE_BIN, MPCREPORT_BIN and BENCH_CONFIGS_BIN).
@@ -14,6 +15,7 @@
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -235,6 +237,48 @@ TEST(MpcreportCli, UnknownOptionIsNamed)
         EXPECT_NE(run.err.find("usage:"), std::string::npos) << option;
         EXPECT_EQ(run.out, "") << option;
     }
+}
+
+TEST(MpcreportCli, UnrecognizedArtifactFailsNamingItsSchema)
+{
+    const std::string stem = testing::TempDir() + "mpcreport_shapes_";
+    const std::string bench = stem + "BENCH.json";
+    const std::string samples = stem + "SAMPLES.json";
+    const std::string shapeless = stem + "other.json";
+    std::ofstream(bench) << "{\"bench\": \"fig3b_uni\", \"runs\": [], "
+                            "\"manifest\": {\"workload\": \"fig3b_uni\"}}\n";
+    std::ofstream(samples) << "{\"schema\": \"mpc-samples-v1\", "
+                              "\"period\": 500, \"epochs\": []}\n";
+    std::ofstream(shapeless) << "{\"answer\": 42}\n";
+
+    // The bench file alone renders.
+    CliRun run = runMpcreport("'" + bench + "'");
+    EXPECT_EQ(run.status, 0) << run.err;
+    EXPECT_NE(run.out.find("artifact provenance"), std::string::npos)
+        << run.out;
+
+    // Beside it, a file of no known shape fails the whole run before
+    // any report is printed, and the message names the file and its
+    // schema, if it has one.
+    run = runMpcreport("'" + bench + "' '" + samples + "'");
+    EXPECT_EQ(run.status, 2);
+    EXPECT_NE(run.err.find("mpcreport: " + samples +
+                           ": unrecognized artifact with schema "
+                           "'mpc-samples-v1'"),
+              std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.out, "");
+
+    run = runMpcreport("'" + bench + "' '" + shapeless + "'");
+    EXPECT_EQ(run.status, 2);
+    EXPECT_NE(run.err.find("mpcreport: " + shapeless +
+                           ": unrecognized artifact\n"),
+              std::string::npos)
+        << run.err;
+    EXPECT_EQ(run.out, "");
+
+    for (const std::string &path : {bench, samples, shapeless})
+        std::remove(path.c_str());
 }
 
 TEST(BenchScale, BadMpcScaleIsFatalBeforeAnyOutput)

@@ -1,31 +1,28 @@
 /**
  * @file
- * Telemetry report tool: merges the JSON artifacts the harness and
- * benches emit — SAMPLES time series (schema "mpc-samples-v1"),
- * BENCH_*.json, MODEL_VS_MEASURED_*.json and FIG4_mshr.json — into one
- * terminal (or markdown) report.
+ * Artifact report tool: merges the JSON artifacts the benches emit —
+ * BENCH_*.json (and SCALE64.json, which has the same shape),
+ * MODEL_VS_MEASURED_*.json and FIG4_mshr.json — into one terminal (or
+ * markdown) report.
  *
  * Usage:
  *   mpcreport [--markdown] FILE.json...
  *
  * Any other argument starting with '-' is rejected: the tool prints a
  * message naming it and the usage to stderr, and exits with status 2.
+ * A file of any other shape fails the same way, before anything is
+ * printed; the message names the file and, if it has one, its schema.
  *
  * The report renders, per input kind:
  *  - a provenance table: every artifact's RunManifest (workload,
  *    config + hash, pipeline, procs), with a warning when artifacts of
  *    one workload disagree on the config hash — the mismatch that
  *    makes cross-artifact comparisons lie;
- *  - per samples file, the epoch timeline: mean MLP across nodes with
- *    a bar chart, busy fraction, and the stall-taxonomy stacked table
- *    (per-epoch deltas, which tile the run's aggregate taxonomy);
- *  - base-vs-clustered side-by-side MLP timelines for samples files
- *    that share a workload (manifest-matched), the report the paper's
- *    Figure 4 discussion wants: when in the run the transformed code
- *    actually overlaps its misses.
+ *  - per bench file, each run's simulated cycles and host timing;
+ *  - per model-vs-measured file, each app's base and clustered MLP.
  *
- * Artifact classification is by schema field / shape, not file name,
- * so renamed or relocated artifacts still merge.
+ * Artifact classification is by shape, not file name, so renamed or
+ * relocated artifacts still merge.
  */
 
 #include <algorithm>
@@ -33,7 +30,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -142,25 +138,12 @@ struct Manifest
     }
 };
 
-/** One parsed epoch of a samples file. */
-struct Epoch
-{
-    double t = 0.0;
-    double mlp = 0.0;       ///< mean over nodes
-    double busy = 0.0;      ///< mean busyFrac over nodes
-    std::vector<std::pair<std::string, double>> stalls; ///< cat -> sum
-};
-
 struct Artifact
 {
     std::string path;
-    std::string kind;       ///< samples|bench|model|fig4
+    std::string kind;       ///< bench|model|fig4
     Manifest manifest;
     Value root;
-
-    // samples-only:
-    double period = 0.0;
-    std::vector<Epoch> epochs;
 };
 
 bool
@@ -175,57 +158,10 @@ loadFile(const std::string &path, std::string &text)
     return true;
 }
 
-void
-parseSamples(Artifact &a)
-{
-    a.period = mpc::json::numField(a.root, "period");
-    const Value *epochs = a.root.field("epochs");
-    if (epochs == nullptr || epochs->t != Value::T::Arr)
-        return;
-    for (const Value &e : epochs->arr) {
-        Epoch ep;
-        ep.t = mpc::json::numField(e, "t");
-        int n = 0;
-        if (const Value *nodes = e.field("nodes");
-            nodes != nullptr && nodes->t == Value::T::Arr) {
-            for (const Value &node : nodes->arr) {
-                ep.mlp += mpc::json::numField(node, "mlp");
-                ep.busy += mpc::json::numField(node, "busyFrac");
-                ++n;
-            }
-            if (n > 0) {
-                ep.mlp /= n;
-                ep.busy /= n;
-            }
-        }
-        std::map<std::string, double> sums;
-        std::vector<std::string> order;
-        if (const Value *cores = e.field("cores");
-            cores != nullptr && cores->t == Value::T::Arr) {
-            for (const Value &core : cores->arr) {
-                const Value *st = core.field("stalls");
-                if (st == nullptr || st->t != Value::T::Obj)
-                    continue;
-                for (const auto &[cat, v] : st->obj) {
-                    if (sums.find(cat) == sums.end())
-                        order.push_back(cat);
-                    sums[cat] += v.num;
-                }
-            }
-        }
-        for (const std::string &cat : order)
-            ep.stalls.emplace_back(cat, sums[cat]);
-        a.epochs.push_back(std::move(ep));
-    }
-}
-
-/** Classify by schema/shape; "" = unrecognized. */
+/** Classify by shape; "" = unrecognized. */
 std::string
 classify(const Value &root)
 {
-    const std::string schema = mpc::json::strField(root, "schema");
-    if (schema == "mpc-samples-v1")
-        return "samples";
     if (root.field("bench") != nullptr && root.field("runs") != nullptr)
         return "bench";
     if (root.field("apps") != nullptr)
@@ -296,94 +232,6 @@ reportManifests(const std::vector<Artifact> &artifacts)
         std::printf("warning: %d artifact(s) carry no manifest "
                     "(pre-manifest files?)\n",
                     missing);
-}
-
-void
-reportSamples(const Artifact &a)
-{
-    heading(fmt("epoch timeline: %s (%s%s)", a.path.c_str(),
-                a.manifest.workload.c_str(),
-                a.manifest.pipeline.empty() ? "" : ", clustered"));
-    if (a.epochs.empty()) {
-        std::printf("  (no epochs)\n");
-        return;
-    }
-    double max_mlp = 0.0;
-    for (const Epoch &e : a.epochs)
-        max_mlp = std::max(max_mlp, e.mlp);
-    Table t;
-    t.header = {"cycle", "MLP", "busy", "MLP bar"};
-    for (const Epoch &e : a.epochs) {
-        const int bar =
-            max_mlp > 0 ? static_cast<int>(e.mlp / max_mlp * 32 + 0.5)
-                        : 0;
-        t.rows.push_back({fmt("%.0f", e.t), fmt("%.2f", e.mlp),
-                          fmt("%.0f%%", e.busy * 100.0),
-                          std::string(static_cast<size_t>(bar), '#')});
-    }
-    t.print();
-
-    // Stall taxonomy per epoch (summed over cores). Per-epoch deltas:
-    // the columns tile the run's aggregate taxonomy exactly.
-    if (!a.epochs.front().stalls.empty()) {
-        heading(fmt("stall taxonomy by epoch: %s", a.path.c_str()));
-        Table st;
-        st.header = {"cycle"};
-        for (const auto &[cat, sum] : a.epochs.front().stalls)
-            st.header.push_back(
-                cat.rfind("stall.", 0) == 0 ? cat.substr(6) : cat);
-        for (const Epoch &e : a.epochs) {
-            std::vector<std::string> row{fmt("%.0f", e.t)};
-            for (const auto &[cat, sum] : e.stalls)
-                row.push_back(fmt("%.0f", sum));
-            st.rows.push_back(std::move(row));
-        }
-        st.print();
-    }
-}
-
-/** Base-vs-clustered MLP, epoch by epoch, for one workload's pair of
- *  samples artifacts. */
-void
-reportPairs(const std::vector<Artifact> &artifacts)
-{
-    std::map<std::string, std::vector<const Artifact *>> byWorkload;
-    for (const Artifact &a : artifacts)
-        if (a.kind == "samples" && a.manifest.present)
-            byWorkload[a.manifest.workload].push_back(&a);
-    for (const auto &[workload, files] : byWorkload) {
-        const Artifact *base = nullptr, *clust = nullptr;
-        for (const Artifact *a : files) {
-            if (a->manifest.pipeline.empty() && base == nullptr)
-                base = a;
-            else if (!a->manifest.pipeline.empty() && clust == nullptr)
-                clust = a;
-        }
-        if (base == nullptr || clust == nullptr)
-            continue;
-        heading(fmt("base vs clustered MLP: %s", workload.c_str()));
-        Table t;
-        t.header = {"cycle", "base MLP", "clust MLP", "ratio"};
-        const size_t n =
-            std::max(base->epochs.size(), clust->epochs.size());
-        for (size_t i = 0; i < n; ++i) {
-            const Epoch *b =
-                i < base->epochs.size() ? &base->epochs[i] : nullptr;
-            const Epoch *c =
-                i < clust->epochs.size() ? &clust->epochs[i] : nullptr;
-            const double tick = b != nullptr ? b->t
-                                : c != nullptr ? c->t
-                                               : 0.0;
-            t.rows.push_back(
-                {fmt("%.0f", tick),
-                 b != nullptr ? fmt("%.2f", b->mlp) : "-",
-                 c != nullptr ? fmt("%.2f", c->mlp) : "-",
-                 b != nullptr && c != nullptr && b->mlp > 0
-                     ? fmt("%.2f", c->mlp / b->mlp)
-                     : "-"});
-        }
-        t.print();
-    }
 }
 
 void
@@ -466,33 +314,27 @@ main(int argc, char **argv)
         }
         a.kind = classify(a.root);
         if (a.kind.empty()) {
-            std::fprintf(stderr,
-                         "mpcreport: %s: unrecognized artifact shape; "
-                         "skipping\n",
-                         path.c_str());
-            continue;
+            std::string why = "unrecognized artifact";
+            if (const std::string schema =
+                    mpc::json::strField(a.root, "schema");
+                !schema.empty())
+                why += " with schema '" + schema + "'";
+            std::fprintf(stderr, "mpcreport: %s: %s\n", path.c_str(),
+                         why.c_str());
+            return 2;
         }
         a.manifest = Manifest::fromJson(a.root.field("manifest"));
-        if (a.kind == "samples")
-            parseSamples(a);
         artifacts.push_back(std::move(a));
-    }
-    if (artifacts.empty()) {
-        std::fprintf(stderr, "mpcreport: nothing to report\n");
-        return 2;
     }
 
     if (g_markdown)
         std::printf("# mpcreport\n");
     reportManifests(artifacts);
     for (const Artifact &a : artifacts) {
-        if (a.kind == "samples")
-            reportSamples(a);
-        else if (a.kind == "bench")
+        if (a.kind == "bench")
             reportBench(a);
         else if (a.kind == "model")
             reportModel(a);
     }
-    reportPairs(artifacts);
     return 0;
 }
