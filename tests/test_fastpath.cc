@@ -7,7 +7,8 @@
  * (SystemConfig::skipAhead = false), which only these tests select.
  * Every figure-bench pair of Figures 3(a) and 3(b) is compared at
  * scale 1, and its counters are pinned to a recorded fingerprint so a
- * change that moves both step modes alike is caught too. Also covers
+ * change that moves both step modes alike is caught too; so are two
+ * apps on four core configurations no figure pair runs. Also covers
  * the parallel experiment scheduler: stable result ordering and
  * determinism at any thread count, and its MPC_JOBS parsing.
  */
@@ -180,12 +181,13 @@ fingerprint(const sys::RunResult &r)
 
 sys::RunResult
 runMode(const std::string &app, int procs, bool clustered,
-        bool skip_ahead)
+        bool skip_ahead, const sys::SystemConfig &config)
 {
     workloads::SizeParams size;
     size.scale = 1;
     const auto w = workloads::makeByName(app, size);
     harness::RunSpec spec;
+    spec.config = config;
     spec.config.skipAhead = skip_ahead;
     spec.procs = procs;
     spec.clustered = clustered;
@@ -194,12 +196,13 @@ runMode(const std::string &app, int procs, bool clustered,
 
 /** Compare both step modes; returns the skip-ahead run's fingerprint. */
 std::uint64_t
-expectModeEquivalence(const std::string &app, int procs, bool clustered)
+expectModeEquivalence(const std::string &app, int procs, bool clustered,
+                      const sys::SystemConfig &config = sys::baseConfig())
 {
     SCOPED_TRACE(app + "/" + std::to_string(procs) + "p" +
                  (clustered ? "/clust" : "/base"));
-    const sys::RunResult skip = runMode(app, procs, clustered, true);
-    expectBitIdentical(skip, runMode(app, procs, clustered, false));
+    const sys::RunResult skip = runMode(app, procs, clustered, true, config);
+    expectBitIdentical(skip, runMode(app, procs, clustered, false, config));
     return fingerprint(skip);
 }
 
@@ -294,6 +297,90 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<FigurePair> &info) {
         return info.param.app + "_" + std::to_string(info.param.procs) +
                "p";
+    });
+
+/**
+ * The core configurations no figure pair runs, by name. Every figure
+ * pair runs the default core (4-wide issue, 2 ALUs / 2 FPUs / 2 address
+ * units, a 64-entry window), so an issue-width or unit-pool bug outside
+ * it would pass every figure-pair fingerprint.
+ */
+sys::SystemConfig
+coreVariant(const std::string &name)
+{
+    if (name == "exemplar") {
+        // bench_table3_exemplar's machine: a 56-entry window in a
+        // 64-slot ring, so eight slots are never used.
+        return sys::exemplarConfig();
+    }
+    auto config = sys::baseConfig();
+    if (name == "issue1") {
+        config.core.issueWidth = 1;
+    } else if (name == "issue2_units1") {
+        config.core.issueWidth = 2;
+        config.core.numAlus = 1;
+        config.core.numFpus = 1;
+        config.core.numAddrUnits = 1;
+    } else if (name == "window8") {
+        config.core.windowSize = 8;
+    } else {
+        ADD_FAILURE() << "unknown core variant " << name;
+    }
+    return config;
+}
+
+/** A figure app run on a core variant, with its recorded fingerprints. */
+struct VariantPair
+{
+    std::string variant;
+    std::string app;
+    int procs = 1;
+    std::uint64_t baseFingerprint = 0;
+    std::uint64_t clustFingerprint = 0;
+};
+
+/** Recorded like recordedFingerprints, under the same rule. */
+const VariantPair variantPairs[] = {
+    {"issue1", "fft", 1, 0x5d5f3e044000abb8, 0x2110163578824b21},
+    {"issue1", "lu", 8, 0xf3a66598c1433af5, 0xe32e1a7796cefda1},
+    {"issue2_units1", "fft", 1, 0xbdc2f1a3fad5d45f, 0xf7f486cf245f0e8d},
+    {"issue2_units1", "lu", 8, 0x66299e88ab59f132, 0x23da710ea976f0ad},
+    {"window8", "fft", 1, 0x1adaee18817d5877, 0xbf7438029bffc5bd},
+    {"window8", "lu", 8, 0x4e386e707b86abae, 0x8df09cd6872b8e53},
+    {"exemplar", "fft", 1, 0x28b20efdaafa0cf7, 0xf4f5870530336978},
+    {"exemplar", "lu", 8, 0x5ceeafe34fe0cc8b, 0xee56fdd1d581500a},
+};
+
+void
+PrintTo(const VariantPair &pair, std::ostream *os)
+{
+    *os << pair.app << " at " << pair.procs << "p on " << pair.variant;
+}
+
+class SkipAheadCoreVariants : public ::testing::TestWithParam<VariantPair>
+{};
+
+TEST_P(SkipAheadCoreVariants, BaseAndClusteredBitIdentical)
+{
+    // Issue width 1 spends the width on the oldest ready entry every
+    // cycle; one unit per pool fills a pool on its first claim; a small
+    // window wraps the ring often. Each run is pinned like a figure
+    // pair, so a change that moves both step modes alike is caught.
+    const VariantPair &pair = GetParam();
+    const sys::SystemConfig config = coreVariant(pair.variant);
+    expectFingerprint(
+        expectModeEquivalence(pair.app, pair.procs, false, config),
+        pair.baseFingerprint, "base");
+    expectFingerprint(
+        expectModeEquivalence(pair.app, pair.procs, true, config),
+        pair.clustFingerprint, "clustered");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CoreConfigs, SkipAheadCoreVariants, ::testing::ValuesIn(variantPairs),
+    [](const ::testing::TestParamInfo<VariantPair> &info) {
+        return info.param.variant + "_" + info.param.app + "_" +
+               std::to_string(info.param.procs) + "p";
     });
 
 TEST(SkipAhead, MultiprocessorBitIdentical)
