@@ -149,11 +149,15 @@ struct Parser
             if (!consume('"'))
                 ok = false;
             return v;
-        } else if (c == 't' || c == 'f') {
-            const std::string word = c == 't' ? "true" : "false";
+        } else if (c == 't' || c == 'f' || c == 'n') {
+            const std::string word = c == 't'   ? "true"
+                                     : c == 'f' ? "false"
+                                                : "null";
             if (s.compare(i, word.size(), word) == 0) {
-                v.t = Value::T::Bool;
-                v.b = c == 't';
+                if (c != 'n') {
+                    v.t = Value::T::Bool;
+                    v.b = c == 't';
+                }
                 i += word.size();
             } else {
                 ok = false;

@@ -2,13 +2,15 @@
  * @file
  * Minimal JSON support shared by the report/serialization layers: a
  * recursive-descent parser for the subset our own emitters produce
- * (objects, arrays, strings with the common escapes, numbers, bools),
- * plus the escaping/number-formatting helpers those emitters share.
+ * (objects, arrays, strings with the common escapes, numbers, bools,
+ * null), plus the escaping/number-formatting helpers those emitters
+ * share.
  *
  * This is deliberately not a general JSON library: inputs are our own
  * BENCH_*.json, MODEL_VS_MEASURED_*.json, FIG4_mshr.json and run-manifest
  * files, and the parser accepts what the writers emit (plus
- * whitespace), except the literal null.
+ * whitespace). A file written without a manifest carries
+ * "manifest": null, which parses as Value::T::Null.
  */
 
 #ifndef MPC_COMMON_JSON_HH

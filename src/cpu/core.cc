@@ -33,11 +33,19 @@ Core::Core(int id, mem::EventQueue &eq, const CoreConfig &cfg,
       window_(ringSlots(cfg.windowSize, maxWindow)),
       windowMask_(window_.size() - 1),
       windowCap_(static_cast<std::uint64_t>(cfg.windowSize)),
-      intWriter_(kisa::numIntRegs, 0), fpWriter_(kisa::numFpRegs, 0),
-      aluBusy_(static_cast<size_t>(cfg.numAlus), 0),
-      fpuBusy_(static_cast<size_t>(cfg.numFpus), 0),
-      addrBusy_(static_cast<size_t>(cfg.numAddrUnits), 0)
+      intWriter_(kisa::numIntRegs, 0), fpWriter_(kisa::numFpRegs, 0)
 {
+    // doIssue's candidate snapshot and free-unit counts rely on a unit
+    // result completing, and a claimed unit staying busy, past the
+    // cycle it issues in.
+    for (const Tick lat : {cfg.latIntAlu, cfg.latIntMul, cfg.latFpArith,
+                           cfg.latFpDiv, cfg.latFpSqrt, cfg.latAddrGen})
+        if (lat < 1)
+            fatal("core functional-unit latencies must be at least 1");
+    pools_[AluPool].busyUntil.assign(static_cast<size_t>(cfg.numAlus), 0);
+    pools_[FpuPool].busyUntil.assign(static_cast<size_t>(cfg.numFpus), 0);
+    pools_[AddrPool].busyUntil.assign(
+        static_cast<size_t>(cfg.numAddrUnits), 0);
     MPC_ASSERT(!program.code.empty(), "empty program");
     MPC_ASSERT(program.meta.size() == program.code.size(),
                "program missing predecode sidecar (call predecode())");
@@ -83,7 +91,7 @@ Core::tick()
     doRetire(now);
     doIssue(now);
     doDispatch(now);
-    drainWriteBuffer(now);
+    drainWriteBuffer();
 #ifndef NDEBUG
     auditMasks(now);
 #endif
@@ -98,17 +106,24 @@ Core::auditMasks(Tick now) const
     // Recount the masks and links from the entry states, oldest first.
     // Producers are older than their consumers, so every link to an
     // entry has been counted by the time the walk reaches it.
-    std::uint64_t blocked = 0, timed = 0, agen = 0, cache = 0;
+    std::uint64_t blocked = 0, timed = 0, ready = 0, agen = 0, cache = 0;
     std::uint64_t completed = 0, live = 0;
+    std::array<std::uint64_t, numPools + 1> pooled{};
     std::array<int, maxWindow> links{};
     for (std::uint64_t seq = headSeq_; seq < tailSeq_; ++seq) {
         const Entry &e = slot(seq);
         const std::uint64_t b = bit(seq);
         const auto id = static_cast<unsigned long long>(seq);
         live |= b;
+        if (e.pool != poolOf(e.meta->cls))
+            panic("core %d seq %llu: pool %d, op class's pool %d", id_, id,
+                  int(e.pool), int(poolOf(e.meta->cls)));
+        pooled[e.pool] |= b;
         switch (e.state) {
           case EState::WaitOperands:
             (e.pendingProds > 0 ? blocked : timed) |= b;
+            if (e.pendingProds == 0 && e.readyTick <= now)
+                ready |= b;
             if (links[seq & windowMask_] != e.pendingProds)
                 panic("core %d seq %llu: %d links, pendingProds %d", id_,
                       id, links[seq & windowMask_], int(e.pendingProds));
@@ -159,11 +174,31 @@ Core::auditMasks(Tick now) const
     };
     expect("opsBlocked_", blocked, opsBlocked_);
     expect("opsTimed_", timed, opsTimed_);
+    expect("opsReady_", ready, opsReady_);
     expect("agen_", agen, agen_);
     expect("cacheWait_", cache, cacheWait_);
     if ((completing_ & ~completed) != 0)
         panic("core %d: completing_ holds entries that are not Completed",
               id_);
+    static const char *const pool_names[] = {"ALU", "FPU", "address"};
+    for (int p = 0; p < numPools; ++p) {
+        const UnitPool &pool = pools_[p];
+        expect(pool_names[p], pooled[p], pool.slots & live);
+        if (unitsCounted_ != now)
+            continue;
+        int free = 0;
+        for (const Tick busy_until : pool.busyUntil)
+            free += busy_until <= now;
+        if (free != pool.free)
+            panic("core %d: %s pool has %d free units, counted %d", id_,
+                  pool_names[p], free, pool.free);
+    }
+    int unsent = 0;
+    for (const WbEntry &wb : writeBuffer_)
+        unsent += wb.outstanding ? 0 : 1;
+    if (unsent != wbUnsent_)
+        panic("core %d: %d write-buffer entries unsent, counted %d", id_,
+              unsent, wbUnsent_);
 #else
     (void)now;
 #endif
@@ -185,9 +220,8 @@ Core::computeNextWake(Tick now)
     // The write buffer retries rejected stores every cycle (mutating
     // cache reject counters), so any not-yet-outstanding entry keeps
     // the core ticking.
-    for (const auto &wb : writeBuffer_)
-        if (!wb.outstanding)
-            return now + 1;
+    if (wbUnsent_ != 0)
+        return now + 1;
 
     Tick wake = maxTick;
 
@@ -225,9 +259,8 @@ Core::computeNextWake(Tick now)
     // whose own state is covered here.
     if (cacheWait_ != 0)
         return now + 1;         // cache retry mutates reject counters
-    for (std::uint64_t m = opsTimed_; m != 0; m &= m - 1)
-        if (window_[std::countr_zero(m)].readyTick <= now)
-            return now + 1;     // issuable; blocked on width or a unit
+    if (opsReady_ != 0)
+        return now + 1;         // issuable; blocked on width or a unit
     if (headSeq_ < tailSeq_) {
         const Entry &head = slot(headSeq_);
         if (head.state == EState::Completed && head.completeTick <= now)
@@ -275,7 +308,7 @@ Core::recordProducers(Entry &entry, const kisa::Instr &instr,
 }
 
 void
-Core::linkProducers(std::uint64_t seq)
+Core::linkProducers(std::uint64_t seq, Tick now)
 {
     Entry &e = slot(seq);
     const auto link = [&](std::uint64_t prod) {
@@ -292,7 +325,13 @@ Core::linkProducers(std::uint64_t seq)
     link(e.prodA);
     if (e.prodB != e.prodA)
         link(e.prodB);
-    (e.pendingProds > 0 ? opsBlocked_ : opsTimed_) |= bit(seq);
+    if (e.pendingProds > 0) {
+        opsBlocked_ |= bit(seq);
+    } else {
+        opsTimed_ |= bit(seq);
+        if (e.readyTick <= now)
+            opsReady_ |= bit(seq);
+    }
 }
 
 void
@@ -302,6 +341,7 @@ Core::markCompleted(std::uint64_t seq, Tick t)
     e.state = EState::Completed;
     e.completeTick = t;
     opsTimed_ &= ~bit(seq);
+    opsReady_ &= ~bit(seq);
     agen_ &= ~bit(seq);
     completing_ |= bit(seq);
     std::uint64_t &waiting = consumers_[seq & windowMask_];
@@ -316,51 +356,69 @@ Core::markCompleted(std::uint64_t seq, Tick t)
     }
 }
 
-Tick
-Core::tryFunctionalUnit(OpClass cls, Tick now)
+Core::Pool
+Core::poolOf(OpClass cls)
 {
-    std::vector<Tick> *pool = nullptr;
-    Tick lat = 1;
-    bool blocking = false;
     switch (cls) {
       case OpClass::IntAlu:
-        pool = &aluBusy_;
+      case OpClass::IntMul:
+        return AluPool;
+      case OpClass::FpArith:
+      case OpClass::FpDiv:
+      case OpClass::FpSqrt:
+        return FpuPool;
+      case OpClass::MemRead:
+      case OpClass::MemWrite:
+        return AddrPool;
+      default:
+        return numPools;
+    }
+}
+
+Tick
+Core::claimUnit(const Entry &e, Tick now)
+{
+    Tick lat = 1;
+    bool blocking = false;
+    switch (e.meta->cls) {
+      case OpClass::IntAlu:
         lat = cfg_.latIntAlu;
         break;
       case OpClass::IntMul:
-        pool = &aluBusy_;
         lat = cfg_.latIntMul;
         blocking = true;  // iterative multiply/divide unit
         break;
       case OpClass::FpArith:
-        pool = &fpuBusy_;
         lat = cfg_.latFpArith;
         break;
       case OpClass::FpDiv:
-        pool = &fpuBusy_;
         lat = cfg_.latFpDiv;
         blocking = true;
         break;
       case OpClass::FpSqrt:
-        pool = &fpuBusy_;
         lat = cfg_.latFpSqrt;
         blocking = true;
         break;
       case OpClass::MemRead:
       case OpClass::MemWrite:
-        pool = &addrBusy_;
         lat = cfg_.latAddrGen;
         break;
       default:
-        panic("tryFunctionalUnit: op class has no unit");
+        panic("claimUnit: op class has no unit");
     }
-    for (Tick &busy_until : *pool) {
+    UnitPool &pool = pools_[e.pool];
+#ifndef NDEBUG
+    if (unitsCounted_ != now || pool.free <= 0)
+        panic("core %d: unit claim without a counted free unit", id_);
+#endif
+    --pool.free;
+    for (Tick &busy_until : pool.busyUntil) {
         if (busy_until <= now) {
             busy_until = now + (blocking ? lat : 1);
             return now + lat;
         }
     }
-    return maxTick;
+    panic("core %d: unit claim on a full pool", id_);
 }
 
 void
@@ -380,6 +438,7 @@ Core::doRetire(Tick now)
             wb.refId = e.instr->refId;
             wb.id = nextWbId_++;
             writeBuffer_.push_back(wb);
+            ++wbUnsent_;
             ++stats_.stores;
         }
         if (e.isLoad || e.isPrefetch) {
@@ -539,73 +598,104 @@ Core::tryLoadAccess(std::uint64_t seq, Tick now)
 void
 Core::doIssue(Tick now)
 {
-    // Candidates: WaitCache entries (they retry every cycle) and the
-    // WaitOperands/WaitAgen entries whose readyTick has come. Handling
-    // one never makes another a candidate this cycle: caches answer
-    // through events, the entries that complete at or before now (Nop,
-    // store, prefetch) write no register, and unit results complete at
-    // now + latency, which is at least now + 1. So a snapshot taken here
-    // is exact.
-    std::uint64_t ready = cacheWait_;
-    for (std::uint64_t m = opsTimed_ | agen_; m != 0; m &= m - 1) {
+    // An opsTimed_ entry is ready once now reaches its readyTick, and
+    // stays ready until it issues: only those not ready yet are read.
+    for (std::uint64_t m = opsTimed_ & ~opsReady_; m != 0; m &= m - 1) {
         const int s = std::countr_zero(m);
         if (window_[s].readyTick <= now)
-            ready |= std::uint64_t{1} << s;
+            opsReady_ |= std::uint64_t{1} << s;
     }
-    if (ready == 0)
+
+    // Candidates: WaitCache entries (they retry every cycle), the
+    // WaitAgen entries whose address is ready, and the ready ops of the
+    // pools with a free unit while issue width lasts. Handling one never
+    // makes another a candidate this cycle: caches answer through
+    // events, the entries that complete at or before now (Nop, store,
+    // prefetch) write no register, and unit results complete at
+    // now + latency, which is at least now + 1. So a snapshot taken here
+    // is exact. Visiting only these skips exactly the visits that would
+    // do nothing (a claim on a full pool, an op once the width is spent),
+    // so every effect keeps its order.
+    std::uint64_t todo = cacheWait_;
+    for (std::uint64_t m = agen_; m != 0; m &= m - 1) {
+        const int s = std::countr_zero(m);
+        if (window_[s].readyTick <= now)
+            todo |= std::uint64_t{1} << s;
+    }
+    int budget = cfg_.issueWidth;
+    if (opsReady_ != 0 && budget > 0) {
+        std::uint64_t ops = opsReady_;
+        for (UnitPool &pool : pools_) {
+            pool.free = 0;
+            for (const Tick busy_until : pool.busyUntil)
+                pool.free += busy_until <= now;
+            if (pool.free == 0)
+                ops &= ~pool.slots;
+        }
+        unitsCounted_ = now;
+        todo |= ops;
+    }
+    if (todo == 0)
         return;
 
     // Oldest first: the slots from the head's up, then those below it.
     const std::uint64_t head_slot = headSeq_ & windowMask_;
     const std::uint64_t below_head = (std::uint64_t{1} << head_slot) - 1;
-    int budget = cfg_.issueWidth;
-    for (std::uint64_t part : {ready & ~below_head, ready & below_head}) {
-        for (; part != 0; part &= part - 1) {
+    for (const std::uint64_t half : {~below_head, below_head}) {
+        for (std::uint64_t part; (part = todo & half) != 0;) {
             const auto s = static_cast<std::uint64_t>(std::countr_zero(part));
+            const std::uint64_t b = std::uint64_t{1} << s;
             const std::uint64_t seq =
                 headSeq_ + ((s - head_slot) & windowMask_);
-            issueEntry(seq, now, budget);
+            todo &= ~b;
+            if ((opsReady_ & b) == 0) {
+                issueMemStep(seq, now);
+                continue;
+            }
+            const Entry &e = window_[s];
+            if (e.meta->cls == OpClass::Nop) {
+                markCompleted(seq, now);    // needs width, not a unit
+                continue;
+            }
+            issueOp(seq, now);
+            if (--budget == 0)
+                todo &= ~opsReady_;     // width spent: agen and cache only
+            else if (pools_[e.pool].free == 0)
+                todo &= ~(opsReady_ & pools_[e.pool].slots);
         }
     }
 }
 
 void
-Core::issueEntry(std::uint64_t seq, Tick now, int &budget)
+Core::issueOp(std::uint64_t seq, Tick now)
+{
+    Entry &e = slot(seq);
+    const Tick done = claimUnit(e, now);
+    if (e.meta->isMem) {
+        // Address generation; cache access follows.
+        e.state = EState::WaitAgen;
+        e.readyTick = done;
+        opsTimed_ &= ~bit(seq);
+        opsReady_ &= ~bit(seq);
+        agen_ |= bit(seq);
+        return;
+    }
+    markCompleted(seq, done);
+    if (e.meta->isBranch) {
+        eq_.schedule(done, [this] {
+            --unresolvedBranches_;
+            wakeAt(eq_.now());  // may unblock dispatch
+        });
+        if (e.mispredicted)
+            fetchResumeTick_ = done + cfg_.mispredictPenalty;
+    }
+}
+
+void
+Core::issueMemStep(std::uint64_t seq, Tick now)
 {
     Entry &e = slot(seq);
     switch (e.state) {
-      case EState::WaitOperands: {
-        if (budget <= 0)
-            break;
-        const kisa::InstrMeta &m = *e.meta;
-        const OpClass cls = m.cls;
-        if (cls == OpClass::Nop) {
-            markCompleted(seq, now);
-            break;
-        }
-        const Tick done = tryFunctionalUnit(cls, now);
-        if (done == maxTick)
-            break;  // no free unit this cycle
-        --budget;
-        if (m.isMem) {
-            // Address generation; cache access follows.
-            e.state = EState::WaitAgen;
-            e.readyTick = done;
-            opsTimed_ &= ~bit(seq);
-            agen_ |= bit(seq);
-        } else {
-            markCompleted(seq, done);
-            if (m.isBranch) {
-                eq_.schedule(done, [this] {
-                    --unresolvedBranches_;
-                    wakeAt(eq_.now());  // may unblock dispatch
-                });
-                if (e.mispredicted)
-                    fetchResumeTick_ = done + cfg_.mispredictPenalty;
-            }
-        }
-        break;
-      }
       case EState::WaitAgen:
         if (e.isStore) {
             // Store is retire-ready once its address and data are
@@ -626,11 +716,9 @@ Core::issueEntry(std::uint64_t seq, Tick now, int &budget)
       case EState::WaitCache:
         tryLoadAccess(seq, now);
         break;
-      case EState::Outstanding:
-      case EState::WaitSync:
-      case EState::Completed:
-        panic("core %d seq %llu: issue candidate in a passive state", id_,
-              static_cast<unsigned long long>(seq));
+      default:
+        panic("core %d seq %llu: memory issue step in state %d", id_,
+              static_cast<unsigned long long>(seq), int(e.state));
     }
 }
 
@@ -684,6 +772,11 @@ Core::doDispatch(Tick now)
         e.instr = &in;
         e.meta = &m;
         e.pc = pc_;
+        e.pool = poolOf(m.cls);
+        for (UnitPool &pool : pools_)
+            pool.slots &= ~bit(seq);
+        if (e.pool != numPools)
+            pools_[e.pool].slots |= bit(seq);
         recordProducers(e, in, m);
 
         if (in.op == Op::Halt) {
@@ -717,7 +810,7 @@ Core::doDispatch(Tick now)
 
         // Ordinary instruction: functionally execute at dispatch. It
         // waits in WaitOperands until its producers have completed.
-        linkProducers(seq);
+        linkProducers(seq, now);
         auto res = kisa::step(program_, pc_, regs_, mem_);
         const int branch_pc = pc_;
         if (monitor_)
@@ -800,23 +893,20 @@ Core::dumpWindow() const
 }
 
 void
-Core::drainWriteBuffer(Tick now)
+Core::drainWriteBuffer()
 {
-    (void)now;
     int tries = cfg_.storeIssueWidth;
-    for (auto &wb : writeBuffer_) {
-        if (tries <= 0)
-            break;
-        if (wb.outstanding)
+    for (auto it = writeBuffer_.begin(); wbUnsent_ > 0 && tries > 0; ++it) {
+        if (it->outstanding)
             continue;
-        const std::uint64_t id = wb.id;
+        const std::uint64_t id = it->id;
         const auto status =
-            hier_.store(wb.addr, wb.refId, [this, id](Tick t) {
+            hier_.store(it->addr, it->refId, [this, id](Tick t) {
                 wakeAt(t);  // frees a memory-queue slot
-                for (auto it = writeBuffer_.begin();
-                     it != writeBuffer_.end(); ++it) {
-                    if (it->id == id) {
-                        writeBuffer_.erase(it);
+                for (auto wb = writeBuffer_.begin();
+                     wb != writeBuffer_.end(); ++wb) {
+                    if (wb->id == id) {
+                        writeBuffer_.erase(wb);
                         break;
                     }
                 }
@@ -824,7 +914,8 @@ Core::drainWriteBuffer(Tick now)
             });
         if (status != mem::Cache::Status::Ok)
             break;  // port or MSHR pressure; retry next cycle
-        wb.outstanding = true;
+        it->outstanding = true;
+        --wbUnsent_;
         --tries;
     }
 }

@@ -154,6 +154,11 @@ class Core
     }
 
   private:
+    /** Functional-unit pools (Table 1): ALUs serve IntAlu and IntMul,
+     *  FPUs FpArith, FpDiv and FpSqrt, address units MemRead and
+     *  MemWrite. numPools marks an op that claims no unit. */
+    enum Pool : std::uint8_t { AluPool, FpuPool, AddrPool, numPools };
+
     /** Scheduling state of a window entry. */
     enum class EState : std::uint8_t {
         WaitOperands,   ///< source registers not ready
@@ -178,6 +183,7 @@ class Core
         std::uint64_t prodA = 0;    ///< producer seqs (0 = none; seq+1)
         std::uint64_t prodB = 0;
         std::uint8_t pendingProds = 0;  ///< linked producers not Completed
+        std::uint8_t pool = numPools;   ///< unit pool its op claims from
         Addr memAddr = invalidAddr;
         bool isLoad = false;
         bool isStore = false;
@@ -210,11 +216,13 @@ class Core
 
     void doRetire(Tick now);
     void doIssue(Tick now);
-    /** Issue-stage step of one candidate entry; consumes @p budget
-     *  when it claims a functional unit. */
-    void issueEntry(std::uint64_t seq, Tick now, int &budget);
+    /** Issue ready WaitOperands entry @p seq, not a Nop, on a unit of
+     *  its pool, which must have one free. */
+    void issueOp(std::uint64_t seq, Tick now);
+    /** Issue-stage step of WaitAgen or WaitCache entry @p seq. */
+    void issueMemStep(std::uint64_t seq, Tick now);
     void doDispatch(Tick now);
-    void drainWriteBuffer(Tick now);
+    void drainWriteBuffer();
 
     /** Record the producer seqs for the sources of @p instr. */
     void recordProducers(Entry &entry, const kisa::Instr &instr,
@@ -223,15 +231,18 @@ class Core
     /** Enter ordinary instruction @p seq into WaitOperands: link it to
      *  each in-flight producer that is not Completed yet, and fold the
      *  complete ticks of the Completed ones into its readyTick. */
-    void linkProducers(std::uint64_t seq);
+    void linkProducers(std::uint64_t seq, Tick now);
 
     /** The only way an entry becomes Completed: sets its completeTick to
      *  @p t and releases the consumers linked to it. */
     void markCompleted(std::uint64_t seq, Tick t);
 
-    /** Try to claim a functional unit of @p cls at @p now.
-     *  @return completion tick, or maxTick if no unit is free. */
-    Tick tryFunctionalUnit(kisa::OpClass cls, Tick now);
+    /** The pool an op of class @p cls claims a unit from. */
+    static Pool poolOf(kisa::OpClass cls);
+
+    /** Claim a unit of @p e's pool at @p now; the pool must have a free
+     *  one. @return the op's completion tick. */
+    Tick claimUnit(const Entry &e, Tick now);
 
     /** Attribute the non-busy remainder of a cycle (or of a batch of
      *  skipped stall cycles). */
@@ -270,8 +281,10 @@ class Core
     /** Launch a load into the memory hierarchy. */
     bool tryLoadAccess(std::uint64_t seq, Tick now);
 
-    /** Debug-build check of the state masks and producer links against
-     *  a recount from the entries and against producerDone. */
+    /** Debug-build check of the state masks, pool masks, free-unit
+     *  counts, producer links and unsent-store count against a recount
+     *  from the entries, units and write buffer, and against
+     *  producerDone. */
     void auditMasks(Tick now) const;
 
     /** Most window entries the state masks can hold (one bit each). */
@@ -311,6 +324,10 @@ class Core
      */
     std::uint64_t opsBlocked_ = 0;  ///< WaitOperands, a producer pending
     std::uint64_t opsTimed_ = 0;    ///< WaitOperands, ready at readyTick
+    /** The opsTimed_ entries whose readyTick has come: set by the
+     *  readiness scan in doIssue (and at dispatch), cleared when the
+     *  entry issues. */
+    std::uint64_t opsReady_ = 0;
     std::uint64_t agen_ = 0;        ///< WaitAgen
     std::uint64_t cacheWait_ = 0;   ///< WaitCache
     /** Completed entries whose completeTick may still lie ahead; pruned
@@ -323,12 +340,18 @@ class Core
     std::vector<std::uint64_t> intWriter_;
     std::vector<std::uint64_t> fpWriter_;
 
-    /** Per-unit busy-until ticks for each FU pool. */
-    std::vector<Tick> aluBusy_;
-    std::vector<Tick> fpuBusy_;
-    std::vector<Tick> addrBusy_;
-    int issuedThisCycle_ = 0;
-    Tick issueCycle_ = maxTick;
+    struct UnitPool
+    {
+        std::vector<Tick> busyUntil;    ///< per unit: first free cycle
+        /** Slots of the live entries whose op claims from this pool
+         *  (set at dispatch; a dead slot may keep a stale bit). */
+        std::uint64_t slots = 0;
+        /** Units free at the start of cycle unitsCounted_, less those
+         *  claimed since. An entry of a pool with none is not visited. */
+        int free = 0;
+    };
+    std::array<UnitPool, numPools> pools_;
+    Tick unitsCounted_ = maxTick;   ///< cycle the free counts were taken
 
     // Dispatch-blocking conditions.
     bool haltDispatched_ = false;
@@ -347,6 +370,8 @@ class Core
     };
     std::vector<WbEntry> writeBuffer_;
     std::uint64_t nextWbId_ = 1;
+    /** Write-buffer entries not yet outstanding (they retry each cycle). */
+    int wbUnsent_ = 0;
     /** In-window memory ops plus write-buffer entries. */
     int memQueueUsed_ = 0;
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for src/common: types helpers, stats containers, RNG.
+ * Unit tests for src/common: types helpers, stats containers, RNG, the
+ * JSON parser.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -223,6 +225,30 @@ TEST(Format, Helpers)
 {
     EXPECT_EQ(fmtDouble(3.14159, 2), "3.14");
     EXPECT_EQ(fmtPercent(0.1234, 1), "12.3%");
+}
+
+TEST(Json, ParsesNullAtTopLevelInObjectsAndInArrays)
+{
+    // The report writers emit "manifest": null when given no manifest.
+    json::Value v;
+    ASSERT_TRUE(json::parse(" null ", v));
+    EXPECT_EQ(v.t, json::Value::T::Null);
+
+    ASSERT_TRUE(json::parse(R"({"manifest": null, "runs": 2})", v));
+    ASSERT_EQ(v.t, json::Value::T::Obj);
+    ASSERT_NE(v.field("manifest"), nullptr);
+    EXPECT_EQ(v.field("manifest")->t, json::Value::T::Null);
+    EXPECT_EQ(json::numField(v, "runs"), 2.0);
+
+    ASSERT_TRUE(json::parse("[true, null, false]", v));
+    ASSERT_EQ(v.arr.size(), 3u);
+    EXPECT_TRUE(v.arr[0].b);
+    EXPECT_EQ(v.arr[1].t, json::Value::T::Null);
+    EXPECT_EQ(v.arr[2].t, json::Value::T::Bool);
+    EXPECT_FALSE(v.arr[2].b);
+
+    for (const char *bad : {"nul", "[nil]", "{\"m\": nulL}"})
+        EXPECT_FALSE(json::parse(bad, v)) << bad;
 }
 
 } // namespace

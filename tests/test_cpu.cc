@@ -122,6 +122,24 @@ TEST(CoreDeathTest, RejectsWindowTheMasksCannotHold)
     }
 }
 
+TEST(CoreDeathTest, RejectsAZeroCycleUnit)
+{
+    // The scheduler counts a pool's free units once per cycle, so a
+    // claimed unit must stay busy past the cycle it issues in.
+    auto cfg = sys::baseConfig();
+    cfg.core.latFpDiv = 0;
+    EXPECT_EXIT(
+        {
+            AsmBuilder b("halt");
+            b.halt();
+            kisa::MemoryImage image;
+            std::vector<Program> programs;
+            programs.push_back(b.finish());
+            sys::System system(cfg, std::move(programs), image);
+        },
+        testing::ExitedWithCode(1), "latencies must be at least 1");
+}
+
 TEST(Core, LoadMissStallsRetire)
 {
     // A single cold load: execution time must include the full memory
@@ -263,6 +281,84 @@ TEST(Core, IssueWidthBoundsIpc)
     EXPECT_NEAR(res.busyCycles, 100.0, 10.0);
     EXPECT_GT(res.cpuCycles, 80.0);
     EXPECT_LT(res.dataReadCycles, 5.0);
+}
+
+/** @p n independent FAdds (FP registers never written, so no
+ *  producers), optionally behind one FDiv, then Halt. */
+Program
+independentFAdds(int n, bool fdiv_first)
+{
+    AsmBuilder b("fadds");
+    if (fdiv_first)
+        b.fDiv(100, 0, 0);
+    for (int i = 0; i < n; ++i)
+        b.fAdd(static_cast<Reg>(1 + i % 90), 0, 0);
+    b.halt();
+    return b.finish();
+}
+
+TEST(Core, FpuPoolAndIssueWidthBoundFAddThroughput)
+{
+    // FAdd is pipelined on an FPU, so N independent FAdds issue
+    // min(numFpus, issueWidth) per cycle: about N / that many cycles,
+    // plus a few to fill and drain the pipeline (3 in every case).
+    constexpr int n = 240;
+    for (int fpus : {1, 2, 3}) {
+        for (int width : {1, 2, 4}) {
+            SCOPED_TRACE(std::to_string(fpus) + " FPUs, issue width " +
+                         std::to_string(width));
+            auto cfg = sys::baseConfig();
+            cfg.core.numFpus = fpus;
+            cfg.core.issueWidth = width;
+            kisa::MemoryImage image;
+            const auto res = runUni(independentFAdds(n, false), image, cfg);
+            const auto bound =
+                static_cast<Tick>(n / std::min(fpus, width));
+            EXPECT_GE(res.cycles, bound);
+            EXPECT_LE(res.cycles, bound + 5);
+        }
+    }
+}
+
+TEST(Core, FDivHoldsItsFpuWhileFAddsUseTheOther)
+{
+    // The FDiv blocks its FPU for its 16-cycle latency, so the FAdds
+    // behind it issue on the other FPU alone for those 16 cycles: half
+    // of 16 FPU-cycles lost, 8 cycles more than the FAdds alone on two
+    // FPUs. A pipelined FDiv would cost about 1 cycle, one that blocked
+    // both FPUs 16.
+    constexpr int n = 200;
+    kisa::MemoryImage image_a, image_b;
+    const auto alone = runUni(independentFAdds(n, false), image_a);
+    const auto behind = runUni(independentFAdds(n, true), image_b);
+    EXPECT_GE(alone.cycles, static_cast<Tick>(n / 2));
+    EXPECT_LE(alone.cycles, static_cast<Tick>(n / 2 + 5));
+    EXPECT_GE(behind.cycles, alone.cycles + 7);
+    EXPECT_LE(behind.cycles, alone.cycles + 9);
+}
+
+TEST(Core, IMulsHoldAnAluWhileIAddImmsShareThePool)
+{
+    // Each IMul holds one of the two ALUs for 7 cycles; the IAddImms
+    // take 1 ALU-cycle each. All are independent, so oldest-first issue
+    // keeps both ALUs busy: (adds + 7 * muls) / 2 cycles. Pipelined
+    // IMuls would take (adds + muls) / 2 = 110.
+    constexpr int adds = 200, muls = 20;
+    AsmBuilder b("imuls");
+    for (int i = 0; i < adds + muls; ++i) {
+        if (i % 11 == 5)
+            b.iMul(static_cast<Reg>(200 + i % 50), 0, 0);
+        else
+            b.iAddImm(static_cast<Reg>(1 + i % 100), 0, i);
+    }
+    b.halt();
+    kisa::MemoryImage image;
+    const auto res = runUni(b.finish(), image);
+    const Tick bound = (adds + 7 * muls) / 2;
+    EXPECT_EQ(res.instructions,
+              static_cast<std::uint64_t>(adds + muls + 1));
+    EXPECT_GE(res.cycles, bound);
+    EXPECT_LE(res.cycles, bound + 5);
 }
 
 TEST(Core, BranchMispredictCostsCycles)

@@ -239,6 +239,26 @@ TEST(MpcreportCli, UnknownOptionIsNamed)
     }
 }
 
+TEST(MpcreportCli, RendersAModelFileWithANullManifest)
+{
+    // writeModelVsMeasuredJson writes "manifest": null when it has no
+    // manifest; such a file is well-formed and renders.
+    const std::string path =
+        testing::TempDir() + "mpcreport_MODEL_VS_MEASURED_null.json";
+    std::ofstream(path)
+        << "{\n  \"manifest\": null,\n  \"apps\": [\n"
+           "    {\"app\": \"fft\", \"mlpBase\": 1.250000, "
+           "\"mlpClust\": 2.500000,\n     \"nests\": []}\n  ]\n}\n";
+    const CliRun run = runMpcreport("'" + path + "'");
+    EXPECT_EQ(run.status, 0) << run.err;
+    EXPECT_NE(run.out.find("model vs measured"), std::string::npos)
+        << run.out;
+    EXPECT_NE(run.out.find("2.50"), std::string::npos) << run.out;
+    EXPECT_NE(run.out.find("carry no manifest"), std::string::npos)
+        << run.out;
+    std::remove(path.c_str());
+}
+
 TEST(MpcreportCli, UnrecognizedArtifactFailsNamingItsSchema)
 {
     const std::string stem = testing::TempDir() + "mpcreport_shapes_";
