@@ -7,8 +7,9 @@
  * (SystemConfig::skipAhead = false), which only these tests select.
  * Every figure-bench pair of Figures 3(a) and 3(b) is compared at
  * scale 1, and its counters are pinned to a recorded fingerprint so a
- * change that moves both step modes alike is caught too; so are two
- * apps on four core configurations no figure pair runs. Also covers
+ * change that moves both step modes alike is caught too; so are
+ * bench_scale64's 64-processor runs and two apps on four core
+ * configurations no figure pair runs. Also covers
  * the parallel experiment scheduler: stable result ordering and
  * determinism at any thread count, and its MPC_JOBS parsing.
  */
@@ -292,12 +293,30 @@ TEST_P(SkipAheadFigurePairs, BaseAndClusteredBitIdentical)
                       pair.clustFingerprint, "clustered");
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Fig3, SkipAheadFigurePairs, ::testing::ValuesIn(figurePairs()),
-    [](const ::testing::TestParamInfo<FigurePair> &info) {
-        return info.param.app + "_" + std::to_string(info.param.procs) +
-               "p";
-    });
+std::string
+figurePairName(const ::testing::TestParamInfo<FigurePair> &info)
+{
+    return info.param.app + "_" + std::to_string(info.param.procs) + "p";
+}
+
+INSTANTIATE_TEST_SUITE_P(Fig3, SkipAheadFigurePairs,
+                         ::testing::ValuesIn(figurePairs()),
+                         figurePairName);
+
+/**
+ * bench_scale64's 64-processor runs, at scale 1 and recorded under the
+ * same rule. No figure pair uses a core id above 15, so these are the
+ * only pinned runs whose partitioning reaches core 63.
+ */
+const FigurePair scale64Pairs[] = {
+    {"em3d", 64, 0x839bb47a7e5ea923, 0xa47704468f0f722d},
+    {"fft", 64, 0x42de5724aed64fa3, 0xd8effa7597cc7449},
+    {"ocean", 64, 0x70a3076e7fff384c, 0x1d6d0a10427d3eda},
+};
+
+INSTANTIATE_TEST_SUITE_P(Scale64, SkipAheadFigurePairs,
+                         ::testing::ValuesIn(scale64Pairs),
+                         figurePairName);
 
 /**
  * The core configurations no figure pair runs, by name. Every figure
