@@ -24,7 +24,8 @@ Tick
 runVariant(const workloads::Workload &w, bool transform, bool schedule)
 {
     ir::Kernel kernel = w.kernel.clone();
-    std::set<std::uint32_t> leading;
+    codegen::CodegenOptions options;
+    options.clusteredSchedule = schedule;
     if (transform) {
         kisa::MemoryImage scratch;
         w.init(scratch);
@@ -49,14 +50,12 @@ runVariant(const workloads::Workload &w, bool transform, bool schedule)
             fatal("bad pipeline spec: %s", error.c_str());
         const auto report = pipeline.run(kernel, params);
         for (int id : report.leadingRefIds)
-            leading.insert(static_cast<std::uint32_t>(id));
+            options.leadingRefs.insert(static_cast<std::uint32_t>(id));
     }
-    auto programs =
-        codegen::lowerForCores(kernel, 1, schedule, leading);
     kisa::MemoryImage image;
     w.init(image);
     const auto config = harness::scaleConfig(sys::baseConfig(), w);
-    sys::System system(config, std::move(programs), image);
+    sys::System system(config, {codegen::lower(kernel, options)}, image);
     return system.run().cycles;
 }
 

@@ -35,7 +35,8 @@ runVariant(const workloads::Workload &w, bool cluster, bool prefetch,
            int distance)
 {
     ir::Kernel kernel = w.kernel.clone();
-    std::set<std::uint32_t> leading;
+    codegen::CodegenOptions options;
+    options.clusteredSchedule = cluster;
     if (cluster) {
         kisa::MemoryImage scratch;
         w.init(scratch);
@@ -55,7 +56,7 @@ runVariant(const workloads::Workload &w, bool cluster, bool prefetch,
             parsePipeline(transform::pipelineSpecFromParams(params))
                 .run(kernel, params);
         for (int id : report.leadingRefIds)
-            leading.insert(static_cast<std::uint32_t>(id));
+            options.leadingRefs.insert(static_cast<std::uint32_t>(id));
     }
     if (prefetch) {
         // A second one-pass pipeline composed after the first: the
@@ -65,11 +66,10 @@ runVariant(const workloads::Workload &w, bool cluster, bool prefetch,
         (void)parsePipeline("prefetch").run(kernel, prefetch_params);
     }
 
-    auto programs = codegen::lowerForCores(kernel, 1, cluster, leading);
     kisa::MemoryImage image;
     w.init(image);
     auto config = harness::scaleConfig(sys::baseConfig(), w);
-    sys::System system(config, std::move(programs), image);
+    sys::System system(config, {codegen::lower(kernel, options)}, image);
     return system.run().cycles;
 }
 

@@ -125,10 +125,7 @@ class Lowerer
 {
   public:
     Lowerer(const Kernel &kernel, const CodegenOptions &options)
-        : kernel_(kernel), opts_(options),
-          builder_(kernel.name + (options.numProcs > 1
-                                      ? ".p" + std::to_string(options.procId)
-                                      : ""))
+        : kernel_(kernel), opts_(options), builder_(kernel.name)
     {}
 
     kisa::Program
@@ -430,15 +427,15 @@ class Lowerer
         zero.imm = 0;
         emit(zero);
         nextInt_ = 1;
-        // Reserved partitioning variables (see partitionParallelLoops).
-        for (const auto &[name, value] :
-             {std::pair<const char *, int>{"__procid", opts_.procId},
-              {"__nprocs", opts_.numProcs}}) {
-            Instr li;
-            li.op = Op::ILoadImm;
-            li.rd = intVarReg(name);
-            li.imm = value;
-            emit(li);
+        // Reserved partitioning variables (see partitionParallelLoops),
+        // read from the machine: one program serves every core.
+        for (const auto &[name, op] :
+             {std::pair<const char *, Op>{"__procid", Op::ProcId},
+              {"__nprocs", Op::NumProcs}}) {
+            Instr id;
+            id.op = op;
+            id.rd = intVarReg(name);
+            emit(id);
         }
         // A base register per array.
         int alias_id = 1;
@@ -1115,16 +1112,9 @@ lowerForCores(const ir::Kernel &kernel, int num_procs,
               bool clustered_schedule,
               const std::set<std::uint32_t> &leading_refs)
 {
-    std::vector<kisa::Program> programs;
-    for (int p = 0; p < num_procs; ++p) {
-        CodegenOptions options;
-        options.clusteredSchedule = clustered_schedule;
-        options.leadingRefs = leading_refs;
-        options.procId = p;
-        options.numProcs = num_procs;
-        programs.push_back(lower(kernel, options));
-    }
-    return programs;
+    return std::vector<kisa::Program>(
+        static_cast<std::size_t>(num_procs),
+        lower(kernel, {clustered_schedule, leading_refs}));
 }
 
 int

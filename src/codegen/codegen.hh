@@ -10,10 +10,12 @@
  * sunk late, packing independent miss references together within the
  * instruction window (the balanced-scheduling effect).
  *
- * For multiprocessor runs, codegen only binds `__procid`/`__nprocs`
- * in each core's prologue (transform::partitionParallelLoops assigns
- * the iterations), and Barrier/FlagSet/FlagWait statements lower to
- * the corresponding KISA synchronization operations.
+ * For multiprocessor runs, one lowered program serves every core: its
+ * prologue binds `__procid`/`__nprocs` with the ProcId and NumProcs
+ * ops, which read the core's index and the core count from the machine
+ * (transform::partitionParallelLoops assigns the iterations from
+ * them), and Barrier/FlagSet/FlagWait statements lower to the
+ * corresponding KISA synchronization operations.
  */
 
 #ifndef MPC_CODEGEN_CODEGEN_HH
@@ -38,11 +40,6 @@ struct CodegenOptions
      * treat every load as a potential miss.
      */
     std::set<std::uint32_t> leadingRefs;
-
-    /** This core's id and the total core count, bound to `__procid`
-     *  and `__nprocs` in the prologue. */
-    int procId = 0;
-    int numProcs = 1;
 };
 
 /**
@@ -52,8 +49,8 @@ struct CodegenOptions
 kisa::Program lower(const ir::Kernel &kernel,
                     const CodegenOptions &options = {});
 
-/** One program per core; partition the kernel first, or every core
- *  runs every iteration. */
+// perfbench's driver still calls this; it goes with the exec-tier
+// shims (kisa/exec_threaded.hh). lower() once serves every core.
 std::vector<kisa::Program> lowerForCores(
     const ir::Kernel &kernel, int num_procs, bool clustered_schedule,
     const std::set<std::uint32_t> &leading_refs = {});

@@ -183,7 +183,9 @@ parse(const std::string &text, Value &out)
 {
     Parser parser{text};
     out = parser.parseValue();
-    return parser.ok;
+    // One value per text: only whitespace may follow it.
+    parser.skipWs();
+    return parser.ok && parser.i == text.size();
 }
 
 double

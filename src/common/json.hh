@@ -44,7 +44,8 @@ struct Value
     }
 };
 
-/** Parse @p text into @p out. @return false on malformed input. */
+/** Parse @p text, one value and nothing after it but whitespace, into
+ *  @p out. @return false on malformed input. */
 bool parse(const std::string &text, Value &out);
 
 /** Append @p s to @p out as a quoted, escaped JSON string literal. */

@@ -46,6 +46,8 @@ Core::Core(int id, mem::EventQueue &eq, const CoreConfig &cfg,
     pools_[FpuPool].busyUntil.assign(static_cast<size_t>(cfg.numFpus), 0);
     pools_[AddrPool].busyUntil.assign(
         static_cast<size_t>(cfg.numAddrUnits), 0);
+    regs_.procId = id;
+    regs_.numProcs = sync != nullptr ? sync->numCores() : 1;
     MPC_ASSERT(!program.code.empty(), "empty program");
     MPC_ASSERT(program.meta.size() == program.code.size(),
                "program missing predecode sidecar (call predecode())");

@@ -86,8 +86,10 @@ class Core
 {
   public:
     /**
+     * @param id This core's index, which ProcId reads.
      * @param sync Barrier device; may be null for uniprocessor kernels
-     *        that never execute Barrier.
+     *        that never execute Barrier. NumProcs reads its core
+     *        count, or 1 without one.
      */
     Core(int id, mem::EventQueue &eq, const CoreConfig &cfg,
          const kisa::Program &program, kisa::MemoryImage &mem,

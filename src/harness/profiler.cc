@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/types.hh"
+#include "kisa/exec_threaded.hh"
 
 namespace mpc::harness
 {
@@ -144,38 +145,18 @@ class FlatCounts
 CacheProfile
 CacheProfile::measure(const kisa::Program &program,
                       kisa::MemoryImage &scratch,
-                      const mem::CacheConfig &geometry)
+                      const mem::CacheConfig &geometry, int num_cores)
 {
+    MPC_ASSERT(num_cores >= 1, "profile on at least one core");
     CacheProfile profile;
-    TagCache cache(geometry);
+    const std::vector<const kisa::Program *> cores(
+        static_cast<size_t>(num_cores), &program);
+    std::vector<TagCache> caches(cores.size(), TagCache(geometry));
     FlatCounts tallies;
     // Statically-typed hook: inlines into the execution loop instead
     // of paying a std::function dispatch per memory access.
     kisa::executeWithHook(
-        program, scratch,
-        [&](int, const kisa::Instr &instr, Addr addr, bool) {
-            tallies.tally(instr.refId, cache.access(addr));
-        },
-        1ull << 31);
-    tallies.forEach([&](std::uint32_t id, std::uint64_t accesses,
-                        std::uint64_t misses) {
-        auto &counts = profile.counts_[id];
-        counts.accesses += accesses;
-        counts.misses += misses;
-    });
-    return profile;
-}
-
-CacheProfile
-CacheProfile::measureMulti(const std::vector<kisa::Program> &programs,
-                           kisa::MemoryImage &scratch,
-                           const mem::CacheConfig &geometry)
-{
-    CacheProfile profile;
-    std::vector<TagCache> caches(programs.size(), TagCache(geometry));
-    FlatCounts tallies;
-    kisa::executeWithHook(
-        programs, scratch,
+        cores.data(), cores.size(), scratch,
         [&](int core, const kisa::Instr &instr, Addr addr,
             bool is_load) {
             const bool hit =

@@ -10,11 +10,9 @@
 #define MPC_HARNESS_PROFILER_HH
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "common/flatmap.hh"
-#include "kisa/exec_threaded.hh"
+#include "kisa/memimage.hh"
 #include "kisa/program.hh"
 #include "mem/config.hh"
 
@@ -26,38 +24,23 @@ class CacheProfile
 {
   public:
     /**
-     * Functionally execute @p program against (a scratch copy is NOT
-     * made; pass a disposable image) and record per-refId miss rates
-     * in a cache of @p geometry.
+     * Functionally execute @p program on @p num_cores cores against
+     * @p scratch (a copy is NOT made; pass a disposable image) and
+     * record per-refId miss rates. Each core has its own tag cache of
+     * @p geometry, and a store invalidates the line in the others, so
+     * on several cores communication misses are measured too.
+     * Per-refId counts aggregate across cores.
      */
     static CacheProfile measure(const kisa::Program &program,
                                 kisa::MemoryImage &scratch,
-                                const mem::CacheConfig &geometry);
-
-    /**
-     * Multiprocessor variant: functionally execute the per-core
-     * @p programs together (barrier/flag semantics intact) with one
-     * tag cache of @p geometry per core and write-invalidate between
-     * them, so communication misses — absent from the sequential
-     * single-cache profile — are measured. Per-refId counts aggregate
-     * across cores.
-     */
-    static CacheProfile measureMulti(
-        const std::vector<kisa::Program> &programs,
-        kisa::MemoryImage &scratch, const mem::CacheConfig &geometry);
+                                const mem::CacheConfig &geometry,
+                                int num_cores = 1);
 
     /** Measured miss rate of @p ref_id; 1.0 (pessimistic) if unseen. */
     double missRate(int ref_id) const;
 
     /** Accesses recorded for @p ref_id. */
     std::uint64_t accesses(int ref_id) const;
-
-    /** Adapter for analysis/driver parameter wiring. */
-    std::function<double(int)>
-    asFunction() const
-    {
-        return [this](int ref_id) { return missRate(ref_id); };
-    }
 
   private:
     struct Counts

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 
 #include "harness/profiler.hh"
 
@@ -104,7 +103,7 @@ makeDriverParams(const workloads::Workload &workload,
                  const sys::SystemConfig &config, int procs,
                  int max_unroll)
 {
-    // Profile P_m on the base uniprocessor binary with the target
+    // Profile P_m on the base binary run on one core, with the target
     // cache geometry (Section 3.2.2: "measured through cache
     // simulation or profiling").
     kisa::MemoryImage scratch;
@@ -125,17 +124,15 @@ makeDriverParams(const workloads::Workload &workload,
         return profile.missRate(ref_id);
     };
     if (procs > 1) {
-        // Run-matched profile: the partitioned per-core programs
-        // through per-core caches with write-invalidation, so the
-        // driver can see when partitioning shrank a stream's
-        // footprint below the cache and its static miss estimate
-        // stopped being realizable (communication misses only).
+        // Run-matched profile: the same binary on every core, through
+        // per-core caches with write-invalidation, so the driver can
+        // see when partitioning shrank a stream's footprint below the
+        // cache and its static miss estimate stopped being realizable
+        // (communication misses only).
         kisa::MemoryImage multi_scratch;
         workload.init(multi_scratch);
-        const auto per_core =
-            codegen::lowerForCores(kernel, procs, false, {});
-        const CacheProfile realized = CacheProfile::measureMulti(
-            per_core, multi_scratch, geometry);
+        const CacheProfile realized = CacheProfile::measure(
+            base_prog, multi_scratch, geometry, procs);
         params.realizedMissRate = [realized](int ref_id) {
             return realized.missRate(ref_id);
         };
@@ -195,11 +192,12 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
 
     const int procs = std::max(spec.procs, 1);
 
-    std::set<std::uint32_t> leading;
+    codegen::CodegenOptions options;
+    options.clusteredSchedule = transforming;
     for (int ref_id : out.report.leadingRefIds)
-        leading.insert(static_cast<std::uint32_t>(ref_id));
-    auto programs = codegen::lowerForCores(kernel, procs,
-                                           transforming, leading);
+        options.leadingRefs.insert(static_cast<std::uint32_t>(ref_id));
+    std::vector<kisa::Program> programs(static_cast<size_t>(procs),
+                                        codegen::lower(kernel, options));
 
     kisa::MemoryImage image;
     workload.init(image);

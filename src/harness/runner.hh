@@ -2,7 +2,7 @@
  * @file
  * Experiment runner: prepares a workload for a system configuration
  * (scaled caches, optional clustering transformation with profiled
- * miss rates, per-core lowering, data placement) and runs it on the
+ * miss rates, lowering, data placement) and runs it on the
  * simulator. The figure/table benches and integration tests are built
  * on these entry points.
  */
@@ -79,10 +79,11 @@ sys::SystemConfig scaleConfig(sys::SystemConfig config,
  * Build the transformation driver's parameters for @p workload on
  * @p config: machine knobs (lp from the MSHR count, window size, line
  * bytes) plus the profiled per-reference miss rates Section 3.2.2
- * calls for — measured by functionally executing the UNtransformed
- * @p kernel (already partitioned when @p procs > 1) against the target
- * cache geometry, with the run-matched multiprocessor profile attached
- * when @p procs > 1. Candidate-independent, so the autotuner profiles
+ * calls for — measured by lowering the UNtransformed @p kernel
+ * (already partitioned when @p procs > 1) once and executing it
+ * against the target cache geometry on one core and, for the
+ * run-matched multiprocessor profile, on @p procs cores when
+ * @p procs > 1. Candidate-independent, so the autotuner profiles
  * once and reuses the result across every pipeline spec it tries;
  * runWorkload calls this on its transforming path.
  */

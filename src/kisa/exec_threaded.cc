@@ -9,10 +9,10 @@ namespace mpc::kisa
 // enumerate every opcode by its enum value; adding an opcode without
 // extending them would silently route it to the trap fallback, so pin
 // the enum's extent here.
-static_assert(static_cast<int>(Op::Halt) == 45,
+static_assert(static_cast<int>(Op::Halt) == 47,
               "KISA opcode set changed: extend the threaded tier's "
               "handler/label tables in exec_threaded.{hh,cc}");
-static_assert(detail::numHandlers == 53,
+static_assert(detail::numHandlers == 55,
               "one handler per opcode, the trap fallback, and six "
               "fused superinstructions");
 

@@ -154,7 +154,8 @@ class ThreadedExecutor
     explicit ThreadedExecutor(MemoryImage &mem) : mem_(&mem) {}
 
     /** Add a core running @p program (compiled here). Returns its
-     *  index. @p program must outlive the executor. */
+     *  index, which ProcId reads; NumProcs reads the number of cores
+     *  added. @p program must outlive the executor. */
     int addCore(const Program &program);
 
     /** Run all cores to completion; returns dynamic instructions. */
@@ -171,6 +172,10 @@ class ThreadedExecutor
         std::uint64_t total = 0;
         const std::size_t n = cores_.size();
         std::size_t num_halted = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            cores_[i].regs.procId = static_cast<std::int64_t>(i);
+            cores_[i].regs.numProcs = static_cast<std::int64_t>(n);
+        }
 
         while (num_halted < n) {
             bool progress = false;
@@ -368,6 +373,8 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         &&Lbl_IShlImm,
         &&Lbl_IAndImm,
         &&Lbl_ILoadImm,
+        &&Lbl_ProcId,
+        &&Lbl_NumProcs,
         &&Lbl_FAdd,
         &&Lbl_FSub,
         &&Lbl_FMul,
@@ -510,6 +517,16 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         MPC_EXEC_NEXT();
     MPC_EXEC_OP(ILoadImm)
         ir[rec->rd] = rec->imm;
+        MPC_EXEC_RETIRE();
+        ++rec;
+        MPC_EXEC_NEXT();
+    MPC_EXEC_OP(ProcId)
+        ir[rec->rd] = core.regs.procId;
+        MPC_EXEC_RETIRE();
+        ++rec;
+        MPC_EXEC_NEXT();
+    MPC_EXEC_OP(NumProcs)
+        ir[rec->rd] = core.regs.numProcs;
         MPC_EXEC_RETIRE();
         ++rec;
         MPC_EXEC_NEXT();

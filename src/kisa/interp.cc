@@ -49,6 +49,8 @@ step(const Program &program, int pc, RegFile &regs, MemoryImage &mem)
       case Op::IShlImm: ir[in.rd] = ir[in.ra] << (in.imm & 63); break;
       case Op::IAndImm: ir[in.rd] = ir[in.ra] & in.imm; break;
       case Op::ILoadImm: ir[in.rd] = in.imm; break;
+      case Op::ProcId: ir[in.rd] = regs.procId; break;
+      case Op::NumProcs: ir[in.rd] = regs.numProcs; break;
 
       case Op::FAdd: fr[in.rd] = fr[in.ra] + fr[in.rb]; break;
       case Op::FSub: fr[in.rd] = fr[in.ra] - fr[in.rb]; break;
@@ -169,14 +171,6 @@ Interpreter::addCore(const Program &program)
 std::uint64_t
 Interpreter::run(std::uint64_t max_steps)
 {
-    if (memHook_) {
-        return runWithHook(
-            [this](int core, const Instr &instr, Addr addr,
-                   bool is_load) {
-                memHook_(core, instr, addr, is_load);
-            },
-            max_steps);
-    }
     struct NoHook
     {
         void operator()(int, const Instr &, Addr, bool) const {}

@@ -12,7 +12,6 @@
 #define MPC_KISA_INTERP_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/logging.hh"
@@ -27,6 +26,11 @@ struct RegFile
 {
     std::int64_t intRegs[numIntRegs] = {};
     double fpRegs[numFpRegs] = {};
+    /** What ProcId and NumProcs read: this core's index and the core
+     *  count. Whoever creates the core sets them; no instruction
+     *  writes them. */
+    std::int64_t procId = 0;
+    std::int64_t numProcs = 1;
 };
 
 /**
@@ -101,18 +105,12 @@ StepResult step(const Program &program, int pc, RegFile &regs,
 class Interpreter
 {
   public:
-    /** Observer invoked for each memory access (for cache profiling). */
-    using MemHook = std::function<void(int core, const Instr &instr,
-                                       Addr addr, bool is_load)>;
-
     /** @param mem Shared backing store (not owned). */
     explicit Interpreter(MemoryImage &mem) : mem_(&mem) {}
 
-    /** Add a core running @p program. Returns the core index. */
+    /** Add a core running @p program. Returns the core index, which
+     *  ProcId reads; NumProcs reads the number of cores added. */
     int addCore(const Program &program);
-
-    /** Install a memory-access observer. */
-    void setMemHook(MemHook hook) { memHook_ = std::move(hook); }
 
     /**
      * Run all cores to completion.
@@ -123,12 +121,11 @@ class Interpreter
     std::uint64_t run(std::uint64_t max_steps = 1ull << 32);
 
     /**
-     * run() with a statically-typed memory-access observer: @p hook is
-     * called as hook(core, instr, addr, is_load) for every memory
-     * instruction. The hook type is a template parameter so profiling
-     * callers (harness::CacheProfile) pay a direct — typically inlined —
-     * call instead of a std::function dispatch per access. run() and
-     * setMemHook remain as the type-erased convenience wrapper.
+     * run() with a memory-access observer: @p hook is called as
+     * hook(core, instr, addr, is_load) for every memory instruction.
+     * The hook type is a template parameter so profiling callers
+     * (harness::CacheProfile) pay a direct, typically inlined, call
+     * per access.
      */
     template <typename Hook>
     std::uint64_t
@@ -138,6 +135,10 @@ class Interpreter
         std::uint64_t total = 0;
         const size_t n = cores_.size();
         size_t num_halted = 0;
+        for (size_t i = 0; i < n; ++i) {
+            cores_[i].regs.procId = static_cast<std::int64_t>(i);
+            cores_[i].regs.numProcs = static_cast<std::int64_t>(n);
+        }
 
         while (num_halted < n) {
             bool progress = false;
@@ -214,7 +215,6 @@ class Interpreter
 
     MemoryImage *mem_;
     std::vector<CoreState> cores_;
-    MemHook memHook_;
 };
 
 } // namespace mpc::kisa

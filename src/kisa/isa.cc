@@ -15,7 +15,8 @@ opClass(Op op)
       case Op::IXor: case Op::IShl: case Op::IShr: case Op::ICmpLt:
       case Op::ICmpEq: case Op::IMin: case Op::IMax:
       case Op::IAddImm: case Op::IShlImm:
-      case Op::IAndImm: case Op::ILoadImm:
+      case Op::IAndImm: case Op::ILoadImm: case Op::ProcId:
+      case Op::NumProcs:
       case Op::BEq: case Op::BNe: case Op::BLt: case Op::BGe: case Op::Jmp:
         return OpClass::IntAlu;
       case Op::IMul: case Op::IDiv: case Op::IRem: case Op::IMulImm:
@@ -138,6 +139,8 @@ opName(Op op)
       case Op::IShlImm: return "ishli";
       case Op::IAndImm: return "iandi";
       case Op::ILoadImm: return "ildimm";
+      case Op::ProcId: return "procid";
+      case Op::NumProcs: return "nprocs";
       case Op::FAdd: return "fadd";
       case Op::FSub: return "fsub";
       case Op::FMul: return "fmul";
@@ -181,6 +184,9 @@ Instr::toString() const
       case Op::ILoadImm: case Op::FLoadImm:
         result += strprintf(" %s, %lld", reg_str(destIsFp(op), rd).c_str(),
                             static_cast<long long>(imm));
+        break;
+      case Op::ProcId: case Op::NumProcs:
+        result += strprintf(" r%u", unsigned(rd));
         break;
       case Op::IAddImm: case Op::IMulImm: case Op::IShlImm: case Op::IAndImm:
         result += strprintf(" r%u, r%u, %lld", unsigned(rd), unsigned(ra),

@@ -46,6 +46,8 @@ enum class Op : std::uint8_t {
     IAddImm, IMulImm, IShlImm, IAndImm,
 
     ILoadImm,   ///< rd <- imm
+    ProcId,     ///< rd <- this core's index (RegFile::procId)
+    NumProcs,   ///< rd <- the core count (RegFile::numProcs)
 
     // Floating point register-register: rd <- ra OP rb (FP file)
     FAdd, FSub, FMul, FDiv,

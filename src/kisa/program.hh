@@ -99,6 +99,8 @@ class AsmBuilder
     void iShlImm(Reg rd, Reg ra, std::int64_t imm);
     void iAndImm(Reg rd, Reg ra, std::int64_t imm);
     void iLoadImm(Reg rd, std::int64_t imm);
+    void procId(Reg rd) { emit3(Op::ProcId, rd, noReg, noReg); }
+    void numProcs(Reg rd) { emit3(Op::NumProcs, rd, noReg, noReg); }
 
     // --- floating point ---------------------------------------------
     void fAdd(Reg rd, Reg ra, Reg rb) { emit3(Op::FAdd, rd, ra, rb); }

@@ -150,7 +150,7 @@ Validator::attachCore(cpu::Core *core, const kisa::Program &program,
     MPC_ASSERT(!started_, "attachCore after start");
     cores_.push_back(core);
     coreValidators_.push_back(std::make_unique<CoreValidator>(
-        *this, core->id(), program, mem));
+        *this, *core, program, mem));
     progress_.push_back({});
     return coreValidators_.back().get();
 }

@@ -86,9 +86,12 @@ class Validator;
 class CoreValidator : public cpu::CoreMonitor
 {
   public:
-    CoreValidator(Validator &owner, int core_id,
+    /** The golden model starts from @p core's reset registers, so
+     *  ProcId and NumProcs read the same values on both. */
+    CoreValidator(Validator &owner, const cpu::Core &core,
                   const kisa::Program &program, kisa::MemoryImage &mem)
-        : owner_(owner), coreId_(core_id), program_(program), mem_(mem)
+        : owner_(owner), coreId_(core.id()), program_(program),
+          mem_(mem), shadowRegs_(core.regs())
     {}
 
     void onDispatch(Tick now, int pc, const kisa::StepResult &res,

@@ -222,10 +222,10 @@ TEST(Codegen, PartitioningCoversIterationSpace)
     layoutArrays(k);
 
     kisa::MemoryImage mem;
-    auto programs = lowerForCores(k, 4, false);
+    const kisa::Program program = lower(k);
     kisa::Interpreter interp(mem);
-    for (auto &p : programs)
-        interp.addCore(p);
+    for (int p = 0; p < 4; ++p)
+        interp.addCore(program);
     interp.run(1u << 24);
     for (int e = 0; e < 103; ++e)
         EXPECT_EQ(mem.ld64(x->base + Addr(e) * 8), 1u) << e;
@@ -249,18 +249,25 @@ gridKernel()
     return k;
 }
 
-/** Elements of X equal to 1 after running @p k on @p procs cores. */
-int
-elementsSetOnce(Kernel &k, int procs)
+/** Lay out @p k and lower it: one program for any core count. */
+kisa::Program
+lowerGrid(Kernel &k)
 {
-    const Array *x = k.findArray("X");
     assignRefIds(k);
     layoutArrays(k);
+    return lower(k);
+}
+
+/** Elements of @p k's X equal to 1 after running @p program on
+ *  @p procs cores. */
+int
+elementsSetOnce(const Kernel &k, const kisa::Program &program, int procs)
+{
+    const Array *x = k.findArray("X");
     kisa::MemoryImage mem;
     kisa::Interpreter interp(mem);
-    auto programs = lowerForCores(k, procs, false);
-    for (auto &p : programs)
-        interp.addCore(p);
+    for (int p = 0; p < procs; ++p)
+        interp.addCore(program);
     interp.run(1u << 24);
     int ones = 0;
     for (std::int64_t e = 0; e < x->numElems(); ++e)
@@ -271,11 +278,16 @@ elementsSetOnce(Kernel &k, int procs)
 TEST(Codegen, InterchangedPartitionedNestCoversSpace)
 {
     // Interchange moves the partitioned parallel loop inward; lowering
-    // must not split it a second time.
+    // must not split it a second time. The one lowered program reads
+    // its core's id and the core count, so it covers the grid at any
+    // P, including P above the 37 rows.
     Kernel k = gridKernel();
     ASSERT_EQ(transform::partitionParallelLoops(k), 1);
     ASSERT_TRUE(transform::interchange(k, *k.body.back()));
-    EXPECT_EQ(elementsSetOnce(k, 16), 37 * 23);
+    const kisa::Program program = lowerGrid(k);
+    for (const int procs : {1, 2, 3, 7, 16, 64})
+        EXPECT_EQ(elementsSetOnce(k, program, procs), 37 * 23)
+            << procs << " cores";
 }
 
 TEST(Codegen, PartitionRunsOncePerKernel)
@@ -290,7 +302,7 @@ TEST(Codegen, PartitionRunsOncePerKernel)
     Kernel again = k.clone();
     EXPECT_EQ(transform::partitionParallelLoops(again), 0);
     EXPECT_EQ(again.toString(), k.toString());
-    EXPECT_EQ(elementsSetOnce(again, 16), 37 * 23);
+    EXPECT_EQ(elementsSetOnce(again, lowerGrid(again), 16), 37 * 23);
 }
 
 TEST(Codegen, LoweredBodySizeIsSane)
@@ -355,10 +367,10 @@ TEST(Codegen, StridedParallelPartitionCoversSpace)
     layoutArrays(k);
 
     kisa::MemoryImage mem;
-    auto programs = lowerForCores(k, 3, false);
+    const kisa::Program program = lower(k);
     kisa::Interpreter interp(mem);
-    for (auto &p : programs)
-        interp.addCore(p);
+    for (int p = 0; p < 3; ++p)
+        interp.addCore(program);
     interp.run(1u << 22);
     for (int e = 0; e < 96; e += 8)
         EXPECT_EQ(mem.ld64(x->base + Addr(e) * 8), 1u) << e;

@@ -251,5 +251,20 @@ TEST(Json, ParsesNullAtTopLevelInObjectsAndInArrays)
         EXPECT_FALSE(json::parse(bad, v)) << bad;
 }
 
+TEST(Json, AcceptsOnlyWhitespaceAfterTheValue)
+{
+    json::Value v;
+    ASSERT_TRUE(json::parse("{\"runs\": []} \n\t\r\n", v));
+    EXPECT_EQ(v.t, json::Value::T::Obj);
+    ASSERT_TRUE(json::parse("2.5\n", v));
+    EXPECT_EQ(v.num, 2.5);
+
+    for (const char *bad :
+         {R"({"bench": "fig3b_uni", "runs": []} trailing junk)",
+          R"({"bench": "fig3b_uni", "runs": []} {"x": 1)",
+          R"({"runs": []}})", "[1] [2]", "1 2", "null,", "true x"})
+        EXPECT_FALSE(json::parse(bad, v)) << bad;
+}
+
 } // namespace
 } // namespace mpc

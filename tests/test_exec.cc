@@ -5,8 +5,8 @@
  * (step()-interpreter and ThreadedExecutor), asserting bit-identical
  * register files, memory contents, instruction counts, and memory-hook
  * access streams. Also covers explicit tier selection, the trap
- * fallback (forged opcodes, out-of-range branch targets), the
- * superinstruction peephole (including branching into the middle of a
+ * fallback (forged opcodes, out-of-range branch targets), the core-id
+ * ops on several cores, the superinstruction peephole (including branching into the middle of a
  * fused sequence), and the instruction-budget guard.
  */
 
@@ -18,6 +18,7 @@
 #include <limits>
 #include <random>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -147,7 +148,8 @@ appendRandom(std::mt19937 &rng, Program &prog, std::uint32_t &ref_id)
         Op::IRem,   Op::IAnd,    Op::IOr,      Op::IXor,  Op::IShl,
         Op::IShr,   Op::ICmpLt,  Op::ICmpEq,   Op::IMin,  Op::IMax,
         Op::IAddImm, Op::IMulImm, Op::IShlImm, Op::IAndImm,
-        Op::ILoadImm, Op::FAdd,  Op::FSub,     Op::FMul,  Op::FDiv,
+        Op::ILoadImm, Op::ProcId, Op::NumProcs,
+        Op::FAdd,   Op::FSub,    Op::FMul,     Op::FDiv,
         Op::FSqrt,  Op::FNeg,    Op::FAbs,     Op::FMin,  Op::FMax,
         Op::FMov,   Op::FLoadImm, Op::CvtIF,   Op::CvtFI,
         Op::Prefetch, Op::LdI,   Op::LdF,      Op::StI,   Op::StF,
@@ -169,6 +171,10 @@ appendRandom(std::mt19937 &rng, Program &prog, std::uint32_t &ref_id)
       case Op::ILoadImm:
         in.rd = rd;
         in.imm = pick(-1000, 1000);
+        break;
+      case Op::ProcId:
+      case Op::NumProcs:
+        in.rd = rd;
         break;
       case Op::FLoadImm:
         in.rd = rd;
@@ -272,6 +278,50 @@ TEST(ExecFuzz, GeneratorCoversEveryFuzzableOpcode)
         EXPECT_TRUE(seen.count(op) != 0)
             << "fuzz never generated " << opName(op);
     }
+}
+
+// --- core id ---------------------------------------------------------
+
+/** Base of the per-core slots coreIdProgram writes. */
+constexpr Addr idSlots = 0x30000;
+
+/** Stores ProcId and NumProcs to this core's 16-byte slot. */
+Program
+coreIdProgram()
+{
+    AsmBuilder b("ids");
+    b.procId(1);
+    b.numProcs(2);
+    b.iShlImm(3, 1, 4);
+    b.iLoadImm(4, static_cast<std::int64_t>(idSlots));
+    b.iAdd(3, 3, 4);
+    b.stI(3, 0, 1);
+    b.stI(3, 8, 2);
+    b.halt();
+    return b.finish();
+}
+
+TEST(ExecCoreId, OneProgramReadsEachCoresIdOnBothTiers)
+{
+    // The executor, not the program, numbers the cores: the same
+    // program on P cores writes P different slots.
+    const Program prog = coreIdProgram();
+    for (const ExecTier tier : {ExecTier::Interp, ExecTier::Threaded}) {
+        for (const std::size_t procs : {1u, 3u, 16u}) {
+            SCOPED_TRACE(std::string(execTierName(tier)) + " on " +
+                         std::to_string(procs) + " cores");
+            MemoryImage mem;
+            const std::vector<const Program *> cores(procs, &prog);
+            executeWithHook(cores.data(), cores.size(), mem,
+                            [](int, const Instr &, Addr, bool) {},
+                            1ull << 20, tier);
+            for (std::size_t c = 0; c < procs; ++c) {
+                EXPECT_EQ(mem.ld64(idSlots + 16 * c), c);
+                EXPECT_EQ(mem.ld64(idSlots + 16 * c + 8), procs);
+            }
+        }
+    }
+    EXPECT_EQ(ThreadedProgram(prog).trapCount(), 0u);
 }
 
 // --- trap fallback ---------------------------------------------------

@@ -120,7 +120,9 @@ defaultClustered(const Workload &w, const kisa::Program &base)
 
     transform::DriverParams params;
     params.bodySize = codegen::loweredBodySize;
-    params.missRate = profile.asFunction();
+    params.missRate = [&profile](int ref_id) {
+        return profile.missRate(ref_id);
+    };
     transform::Pipeline pipeline;
     std::string error;
     EXPECT_TRUE(transform::Pipeline::parse(
@@ -176,16 +178,16 @@ class MultiprocTierWorkloads
 
 TEST_P(MultiprocTierWorkloads, PartitionedRunBitIdenticalAcrossTiers)
 {
-    // Partition as the harness runner does, then run the per-core
-    // programs on both tiers. Both tiers implement the same
-    // round-robin core schedule, so even mp3d — whose multiprocessor
-    // accumulation order differs from the sequential reference by
-    // design — is deterministic tier-vs-tier.
+    // Partition as the harness runner does, then run the one lowered
+    // program on every core on both tiers. Both tiers implement the
+    // same round-robin core schedule, so even mp3d — whose
+    // multiprocessor accumulation order differs from the sequential
+    // reference by design — is deterministic tier-vs-tier.
     const Workload w = makeByName(GetParam(), tiny());
     ir::Kernel part = w.kernel.clone();
     transform::partitionParallelLoops(part);
-    const auto programs =
-        codegen::lowerForCores(part, w.defaultProcs, false);
+    const std::vector<kisa::Program> programs(
+        static_cast<std::size_t>(w.defaultProcs), codegen::lower(part));
     const auto interp =
         runOnTier(w, programs, kisa::ExecTier::Interp);
     const auto threaded =

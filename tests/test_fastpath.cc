@@ -428,12 +428,11 @@ runPrefetchVariant(const std::string &app, int distance, bool skip_ahead)
     const auto w = workloads::makeByName(app, size);
     ir::Kernel kernel = w.kernel.clone();
     transform::insertPrefetches(kernel, distance);
-    auto programs = codegen::lowerForCores(kernel, 1, false, {});
     kisa::MemoryImage image;
     w.init(image);
     auto config = harness::scaleConfig(sys::baseConfig(), w);
     config.skipAhead = skip_ahead;
-    sys::System system(config, std::move(programs), image);
+    sys::System system(config, {codegen::lower(kernel)}, image);
     return system.run();
 }
 

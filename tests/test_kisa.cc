@@ -219,13 +219,12 @@ TEST(Interp, InstrCountAndMemHook)
     Interpreter interp(mem);
     interp.addCore(p);
     int loads = 0, stores = 0;
-    interp.setMemHook([&](int, const Instr &, Addr, bool is_load) {
+    interp.runWithHook([&](int, const Instr &, Addr, bool is_load) {
         if (is_load)
             ++loads;
         else
             ++stores;
     });
-    interp.run();
     EXPECT_EQ(loads, 1);
     EXPECT_EQ(stores, 1);
     EXPECT_EQ(interp.instrCount(0), 4u);

@@ -259,6 +259,26 @@ TEST(MpcreportCli, RendersAModelFileWithANullManifest)
     std::remove(path.c_str());
 }
 
+TEST(MpcreportCli, TrailingInputIsMalformedJson)
+{
+    // A bench object followed by junk, or by the start of a second
+    // value, is not one JSON document: mpcreport must not render the
+    // first value and succeed.
+    const std::string path =
+        testing::TempDir() + "mpcreport_trailing.json";
+    for (const char *tail : {" trailing junk", " {\"x\": 1"}) {
+        std::ofstream(path)
+            << "{\"bench\": \"fig3b_uni\", \"runs\": []}" << tail << "\n";
+        const CliRun run = runMpcreport("'" + path + "'");
+        EXPECT_EQ(run.status, 2) << tail;
+        EXPECT_NE(run.err.find("mpcreport: " + path + ": malformed JSON"),
+                  std::string::npos)
+            << run.err;
+        EXPECT_EQ(run.out, "") << tail;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(MpcreportCli, UnrecognizedArtifactFailsNamingItsSchema)
 {
     const std::string stem = testing::TempDir() + "mpcreport_shapes_";

@@ -228,13 +228,13 @@ TEST_P(FuzzSeeds, PartitioningCoversSpace)
     transform::DriverParams params;
     params.bodySize = codegen::loweredBodySize;
     transform::applyClustering(x, params);
+    const kisa::Program program = codegen::lower(x);
     for (int procs : proc_counts) {
         kisa::MemoryImage mem;
         rk.fill(mem, 1);
-        auto programs = codegen::lowerForCores(x, procs, false);
         kisa::Interpreter interp(mem);
-        for (auto &p : programs)
-            interp.addCore(p);
+        for (int p = 0; p < procs; ++p)
+            interp.addCore(program);
         interp.run(1u << 28);
         EXPECT_EQ(checksumArrays(x, mem), golden)
             << procs << " procs\n" << x.toString();

@@ -124,6 +124,39 @@ TEST(Validate, CleanMultiprocessorRunHasNoFailures)
     }
 }
 
+TEST(Validate, OneProgramReadsEachCoresId)
+{
+    // One program on every core: each stores ProcId and NumProcs to
+    // its own slot. The golden model starts from the core's reset
+    // registers, so it reads the same id and count as the core.
+    constexpr Addr slots = 0x200000;
+    AsmBuilder b("ids");
+    b.procId(1);
+    b.numProcs(2);
+    b.iShlImm(3, 1, 4);
+    b.iLoadImm(4, static_cast<std::int64_t>(slots));
+    b.iAdd(3, 3, 4);
+    b.stI(3, 0, 1);
+    b.stI(3, 8, 2);
+    b.halt();
+    const Program prog = b.finish();
+    for (const int procs : {1, 3, 16}) {
+        SCOPED_TRACE(std::to_string(procs) + " cores");
+        kisa::MemoryImage image;
+        sys::System s(validatedConfig(),
+                      std::vector<Program>(static_cast<size_t>(procs),
+                                           prog),
+                      image);
+        s.run();
+        EXPECT_TRUE(s.validator()->failures().empty())
+            << s.validator()->report();
+        for (int c = 0; c < procs; ++c) {
+            EXPECT_EQ(image.ld64(slots + 16 * Addr(c)), Addr(c));
+            EXPECT_EQ(image.ld64(slots + 16 * Addr(c) + 8), Addr(procs));
+        }
+    }
+}
+
 TEST(Validate, ValidationDoesNotPerturbResults)
 {
     sys::RunResult results[2];

@@ -41,9 +41,9 @@ interpChecksum(const Workload &w, const ir::Kernel &kernel,
     kisa::MemoryImage mem;
     w.init(mem);
     kisa::Interpreter interp(mem);
-    auto programs = codegen::lowerForCores(kernel, procs, false);
-    for (auto &p : programs)
-        interp.addCore(p);
+    const kisa::Program program = codegen::lower(kernel);
+    for (int p = 0; p < procs; ++p)
+        interp.addCore(program);
     interp.run(1ull << 30);
     return ir::checksumArrays(kernel, mem);
 }
@@ -159,12 +159,15 @@ TEST_P(ParallelWorkloads, ClusteredRunMatchesSequential)
         };
         const transform::PipelineReport report =
             pipeline.run(kernel, params);
-        std::set<std::uint32_t> leading;
+        codegen::CodegenOptions options;
+        options.clusteredSchedule = true;
         for (int ref_id : report.leadingRefIds)
-            leading.insert(static_cast<std::uint32_t>(ref_id));
+            options.leadingRefs.insert(static_cast<std::uint32_t>(ref_id));
         kisa::MemoryImage mem;
         w.init(mem);
-        kisa::execute(codegen::lowerForCores(kernel, procs, true, leading),
+        kisa::execute(std::vector<kisa::Program>(
+                          static_cast<std::size_t>(procs),
+                          codegen::lower(kernel, options)),
                       mem);
         EXPECT_EQ(ir::checksumArrays(w.kernel, mem), seq)
             << GetParam() << " at " << procs << "p";
