@@ -52,7 +52,7 @@ struct DriverParams
     std::function<double(int)> missRate;
     /**
      * Run-matched (multiprocessor) profile: per-refId miss rate and
-     * access count measured on the partitioned per-core programs with
+     * access count measured with the partitioned program on every core,
      * per-core caches and write-invalidation. Null on uniprocessor
      * runs. Partitioning shrinks each processor's footprint, so a
      * regular reference's static miss-every-L_m-iterations estimate

@@ -535,8 +535,8 @@ evalChecksum(const Kernel &kernel,
         eval.setVar("__nprocs", 1);
         eval.run();
     } else {
-        // Default CodegenOptions bake __procid=0/__nprocs=1, matching
-        // the evaluator seeding above.
+        // One core: the program reads __procid = 0 and __nprocs = 1,
+        // matching the evaluator seeding above.
         const kisa::Program program = codegen::lower(clone);
         kisa::execute(program, mem);
     }

@@ -6,8 +6,9 @@
  * register files, memory contents, instruction counts, and memory-hook
  * access streams. Also covers explicit tier selection, the trap
  * fallback (forged opcodes, out-of-range branch targets), the core-id
- * ops on several cores, the superinstruction peephole (including branching into the middle of a
- * fused sequence), and the instruction-budget guard.
+ * ops on several cores, the superinstruction peephole (including
+ * branching into the middle of a fused sequence), and the
+ * instruction-budget guard.
  */
 
 #include <gtest/gtest.h>
