@@ -11,7 +11,7 @@
 #include "bench_common.hh"
 
 #include "codegen/codegen.hh"
-#include "transform/driver.hh"
+#include "transform/pipeline.hh"
 
 namespace
 {

@@ -12,8 +12,7 @@
 
 #include "codegen/codegen.hh"
 #include "common/logging.hh"
-#include "harness/profiler.hh"
-#include "transform/driver.hh"
+#include "transform/pipeline.hh"
 
 namespace
 {
@@ -26,21 +25,10 @@ runVariant(const workloads::Workload &w, bool transform, bool schedule)
     ir::Kernel kernel = w.kernel.clone();
     codegen::CodegenOptions options;
     options.clusteredSchedule = schedule;
+    const auto config = harness::scaleConfig(sys::baseConfig(), w);
     if (transform) {
-        kisa::MemoryImage scratch;
-        w.init(scratch);
-        const auto base_prog = codegen::lower(kernel);
-        mem::CacheConfig geometry;
-        geometry.sizeBytes = w.l2Bytes;
-        geometry.assoc = 4;
-        const auto profile = harness::CacheProfile::measure(
-            base_prog, scratch, geometry);
-        transform::DriverParams params;
-        params.lp = 10;
-        params.bodySize = codegen::loweredBodySize;
-        params.missRate = [&profile](int id) {
-            return profile.missRate(id);
-        };
+        const transform::DriverParams params =
+            harness::makeDriverParams(w, kernel, config, 1, 16);
         // Through the pass factory, like the harness and mpclust.
         transform::Pipeline pipeline;
         std::string error;
@@ -54,7 +42,6 @@ runVariant(const workloads::Workload &w, bool transform, bool schedule)
     }
     kisa::MemoryImage image;
     w.init(image);
-    const auto config = harness::scaleConfig(sys::baseConfig(), w);
     sys::System system(config, {codegen::lower(kernel, options)}, image);
     return system.run().cycles;
 }

@@ -12,8 +12,7 @@
 
 #include "codegen/codegen.hh"
 #include "common/logging.hh"
-#include "harness/profiler.hh"
-#include "transform/driver.hh"
+#include "transform/pipeline.hh"
 
 namespace
 {
@@ -37,21 +36,10 @@ runVariant(const workloads::Workload &w, bool cluster, bool prefetch,
     ir::Kernel kernel = w.kernel.clone();
     codegen::CodegenOptions options;
     options.clusteredSchedule = cluster;
+    const auto config = harness::scaleConfig(sys::baseConfig(), w);
     if (cluster) {
-        kisa::MemoryImage scratch;
-        w.init(scratch);
-        const auto base_prog = codegen::lower(kernel);
-        mem::CacheConfig geometry;
-        geometry.sizeBytes = w.l2Bytes;
-        geometry.assoc = 4;
-        const auto profile = harness::CacheProfile::measure(
-            base_prog, scratch, geometry);
-        transform::DriverParams params;
-        params.lp = 10;
-        params.bodySize = codegen::loweredBodySize;
-        params.missRate = [&profile](int id) {
-            return profile.missRate(id);
-        };
+        const transform::DriverParams params =
+            harness::makeDriverParams(w, kernel, config, 1, 16);
         const auto report =
             parsePipeline(transform::pipelineSpecFromParams(params))
                 .run(kernel, params);
@@ -68,7 +56,6 @@ runVariant(const workloads::Workload &w, bool cluster, bool prefetch,
 
     kisa::MemoryImage image;
     w.init(image);
-    auto config = harness::scaleConfig(sys::baseConfig(), w);
     sys::System system(config, {codegen::lower(kernel, options)}, image);
     return system.run().cycles;
 }

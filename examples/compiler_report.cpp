@@ -15,7 +15,7 @@
 #include "analysis/analysis.hh"
 #include "codegen/codegen.hh"
 #include "harness/profiler.hh"
-#include "transform/driver.hh"
+#include "transform/pipeline.hh"
 #include "workloads/workload.hh"
 
 using namespace mpc;

@@ -17,7 +17,7 @@
 #include "codegen/codegen.hh"
 #include "ir/kernel.hh"
 #include "system/system.hh"
-#include "transform/driver.hh"
+#include "transform/pipeline.hh"
 
 using namespace mpc;
 

@@ -285,8 +285,7 @@ analyzeInnerLoop(const ir::Kernel &kernel, const NestPath &nest,
                 sites.push_back({e, pos, false});
             if (s.lhs->isMemRef())
                 sites.push_back({s.lhs.get(), pos, true});
-        } else if (s.kind == Stmt::Kind::FlagSet ||
-                   s.kind == Stmt::Kind::FlagWait) {
+        } else if (s.kind == Stmt::Kind::FlagSet) {
             // Synchronization accesses are not clustering candidates.
         }
         ++pos;

@@ -108,8 +108,7 @@ defUse(const Instr &in)
         else
             du.intReads.push_back(in.rb);
     }
-    if (in.rd != kisa::noReg && !is_store && !is_branch &&
-        in.op != Op::FlagWait) {
+    if (in.rd != kisa::noReg && !is_store && !is_branch) {
         if (kisa::destIsFp(in.op))
             du.fpWrite = in.rd;
         else
@@ -890,16 +889,6 @@ class Lowerer
           case Stmt::Kind::Barrier: {
             flushRegion();
             builder_.barrier();
-            break;
-          }
-          case Stmt::Kind::FlagWait: {
-            flushRegion();
-            Address addr = lowerAddress(*stmt.lhs);
-            Operand threshold = lowerExpr(*stmt.rhs);
-            flushRegion();
-            builder_.flagWait(addr.base, addr.disp, threshold.reg);
-            release(addr.temp);
-            release(threshold);
             break;
           }
         }

@@ -14,8 +14,9 @@
  * prologue binds `__procid`/`__nprocs` with the ProcId and NumProcs
  * ops, which read the core's index and the core count from the machine
  * (transform::partitionParallelLoops assigns the iterations from
- * them), and Barrier/FlagSet/FlagWait statements lower to the
- * corresponding KISA synchronization operations.
+ * them). A Barrier statement lowers to the KISA Barrier op and a
+ * FlagSet to a store; the lowered program is also what the pass
+ * pipeline's verifier runs, on one core of the threaded tier.
  */
 
 #ifndef MPC_CODEGEN_CODEGEN_HH

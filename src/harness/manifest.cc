@@ -25,11 +25,9 @@ RunManifest::toJson() const
     json::ObjectWriter w;
     w.field("schema", "mpc-manifest-v1")
         .field("workload", workload)
-        .field("kernelHash", json::hex64(kernelHash))
         .field("config", configName)
         .field("configHash", json::hex64(configHash))
         .field("procs", procs)
-        .field("pipeline", pipeline)
         .field("obs", obs)
         .field("validate", validate)
         .field("host", host);

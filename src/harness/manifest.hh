@@ -28,7 +28,7 @@
 namespace mpc::harness
 {
 
-/** FNV-1a over a byte string (kernel and config content hashes). */
+/** FNV-1a over a byte string (the config content hash). */
 std::uint64_t fnv1a(const std::string &text);
 
 /** Self-describing provenance of a bench invocation (schema
@@ -38,16 +38,11 @@ struct RunManifest
 {
     /** The bench or tool name. */
     std::string workload;
-    /** FNV-1a of the kernel IR text (0 = aggregate, no single kernel). */
-    std::uint64_t kernelHash = 0;
     std::string configName;
     /** FNV-1a of configKey(config, procs). */
     std::uint64_t configHash = 0;
     /** Processor count (0 = aggregate over mixed counts). */
     int procs = 1;
-    /** Pipeline spec ("" = base, or an aggregate of base and
-     *  clustered runs). */
-    std::string pipeline;
     bool obs = false;       ///< metrics collectors attached
     bool validate = false;  ///< validation layer attached
     /** Host identification (hostString() of the producing host). */
@@ -75,8 +70,7 @@ std::string hostString();
 /**
  * Manifest for a bench/tool invocation that aggregates several runs
  * (BENCH_*.json, MODEL_VS_MEASURED_*.json, FIG4_mshr.json,
- * SCALE64.json): no single kernel hash or pipeline; @p procs 0 when the
- * runs mix processor counts.
+ * SCALE64.json); @p procs 0 when the runs mix processor counts.
  */
 RunManifest makeInvocationManifest(const std::string &label,
                                    const sys::SystemConfig &config,

@@ -305,7 +305,7 @@ formatLatbench(const PairResult &pair, double ns_per_cycle,
 
 std::string
 formatDriverSummary(const std::string &name,
-                    const transform::DriverReport &report)
+                    const transform::PipelineReport &report)
 {
     std::ostringstream out;
     out << "-- driver decisions for " << name << " --\n"

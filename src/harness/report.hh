@@ -101,7 +101,7 @@ std::string formatLatbench(const PairResult &pair, double ns_per_cycle,
 
 /** One-line driver summary for an application. */
 std::string formatDriverSummary(const std::string &name,
-                                const transform::DriverReport &report);
+                                const transform::PipelineReport &report);
 
 } // namespace mpc::harness
 

@@ -218,15 +218,12 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
         if (obs::Tracer *tracer = observer->tracer();
             tracer != nullptr && !out.report.passes.empty()) {
             tracer->setTrackName(kCompilerTrack, "compiler passes");
-            // String literals: the tracer keeps event-name pointers.
-            const std::string &vt = out.report.verifyTier;
-            const char *verify_name =
-                vt == "threaded"    ? "verify/threaded"
-                : vt == "evaluator" ? "verify/evaluator"
-                                    : nullptr;
+            // A string literal: the tracer keeps event-name pointers.
+            // Verification times are 0 when it was off; only a
+            // transforming run's report shows them.
+            const char *const verify_name = "verify/threaded";
             Tick now = 0;
-            if (verify_name != nullptr &&
-                out.report.refChecksumMs > 0.0) {
+            if (transforming && out.report.refChecksumMs > 0.0) {
                 const Tick dur = std::max<Tick>(
                     1, static_cast<Tick>(out.report.refChecksumMs *
                                          1000.0));
@@ -243,7 +240,7 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
                              static_cast<std::uint64_t>(pass.actions),
                              pass.skipped ? 1 : 0);
                 now += dur;
-                if (verify_name != nullptr && pass.verifyMs > 0.0) {
+                if (transforming && pass.verifyMs > 0.0) {
                     const Tick vdur = std::max<Tick>(
                         1,
                         static_cast<Tick>(pass.verifyMs * 1000.0));

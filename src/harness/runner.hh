@@ -13,7 +13,7 @@
 #include <string>
 
 #include "system/system.hh"
-#include "transform/driver.hh"
+#include "transform/pipeline.hh"
 #include "workloads/workload.hh"
 
 namespace mpc::harness
@@ -44,7 +44,7 @@ struct WorkloadRun
 {
     sys::RunResult result;
     /** No nests for base runs; passes may still list "partition". */
-    transform::DriverReport report;
+    transform::PipelineReport report;
     std::string kernelText;             ///< final (possibly transformed)
 };
 

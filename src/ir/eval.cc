@@ -219,8 +219,6 @@ Evaluator::execStmt(const Stmt &stmt)
       case Stmt::Kind::FlagSet:
         storeTo(*stmt.lhs, evalExpr(*stmt.rhs));
         break;
-      case Stmt::Kind::FlagWait:
-        break;
     }
 }
 

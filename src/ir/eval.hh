@@ -6,9 +6,9 @@
  * results here, and codegen tests compare this evaluator against the
  * KISA interpreter running the lowered program (a three-way check).
  *
- * Multiprocessor synchronization statements are no-ops here (the
- * evaluator runs a kernel single-threaded, which is the sequential
- * semantics those kernels are data-race-free refinements of).
+ * Barriers are no-ops here (the evaluator runs a kernel
+ * single-threaded, which is the sequential semantics those kernels are
+ * data-race-free refinements of).
  */
 
 #ifndef MPC_IR_EVAL_HH
@@ -36,13 +36,6 @@ class Evaluator
 
     /** Run the kernel body to completion. */
     void run();
-
-    /** Pre-seed an integer scalar before run() (e.g. __procid). */
-    void
-    setVar(const std::string &name, std::int64_t value)
-    {
-        vars_[name] = Value{.isFp = false, .i = value, .f = 0.0};
-    }
 
     /** Scalar values after run() (0 if never assigned). */
     std::int64_t intVar(const std::string &name) const;

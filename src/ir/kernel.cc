@@ -234,10 +234,6 @@ Stmt::toString(int indent) const
         out << pad << "flag_set " << lhs->toString() << " = "
             << rhs->toString() << "\n";
         break;
-      case Kind::FlagWait:
-        out << pad << "flag_wait " << lhs->toString() << " >= "
-            << rhs->toString() << "\n";
-        break;
     }
     return out.str();
 }
@@ -320,16 +316,6 @@ flagSet(ExprPtr loc, ExprPtr value)
 {
     auto s = std::make_unique<Stmt>();
     s->kind = Stmt::Kind::FlagSet;
-    s->lhs = std::move(loc);
-    s->rhs = std::move(value);
-    return s;
-}
-
-StmtPtr
-flagWait(ExprPtr loc, ExprPtr value)
-{
-    auto s = std::make_unique<Stmt>();
-    s->kind = Stmt::Kind::FlagWait;
     s->lhs = std::move(loc);
     s->rhs = std::move(value);
     return s;

@@ -149,12 +149,11 @@ struct Stmt
         Prefetch,   ///< nonbinding prefetch of lhs (a memory ref)
         Barrier,    ///< multiprocessor barrier
         FlagSet,    ///< store rhs to flag location lhs (release)
-        FlagWait,   ///< wait until value at lhs >= rhs (acquire)
     };
 
     Kind kind = Kind::Assign;
 
-    // Assign / FlagSet / FlagWait
+    // Assign / FlagSet
     ExprPtr lhs;
     ExprPtr rhs;
 
@@ -190,7 +189,6 @@ StmtPtr whileLoop(ExprPtr cond, std::vector<StmtPtr> body);
 StmtPtr prefetch(ExprPtr ref);
 StmtPtr barrier();
 StmtPtr flagSet(ExprPtr loc, ExprPtr value);
-StmtPtr flagWait(ExprPtr loc, ExprPtr value);
 
 /**
  * A complete kernel.

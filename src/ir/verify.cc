@@ -171,7 +171,6 @@ struct Checker
           case Stmt::Kind::Barrier:
             return true;
           case Stmt::Kind::FlagSet:
-          case Stmt::Kind::FlagWait:
             if (stmt.lhs == nullptr || stmt.rhs == nullptr)
                 return fail("flag statement with missing operand");
             return checkExpr(*stmt.lhs) && checkExpr(*stmt.rhs);

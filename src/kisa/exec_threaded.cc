@@ -129,8 +129,14 @@ ThreadedProgram::ThreadedProgram(const Program &program)
 int
 ThreadedExecutor::addCore(const Program &program)
 {
-    cores_.push_back(CoreState{&program, ThreadedProgram(program),
-                               RegFile{}, 0, false, false, 0});
+    // Cores hold an index, not a pointer: compiled_ may grow later.
+    std::size_t compiled = 0;
+    while (compiled < compiled_.size() &&
+           &compiled_[compiled].source() != &program)
+        ++compiled;
+    if (compiled == compiled_.size())
+        compiled_.emplace_back(program);
+    cores_.push_back(CoreState{compiled, RegFile{}, 0, false, false, 0});
     return static_cast<int>(cores_.size()) - 1;
 }
 
@@ -155,7 +161,7 @@ ThreadedExecutor::trapCount() const
 {
     std::size_t count = 0;
     for (const CoreState &core : cores_)
-        count += core.tprog.trapCount();
+        count += compiled_[core.compiled].trapCount();
     return count;
 }
 

@@ -153,9 +153,10 @@ class ThreadedExecutor
     /** @param mem Shared backing store (not owned). */
     explicit ThreadedExecutor(MemoryImage &mem) : mem_(&mem) {}
 
-    /** Add a core running @p program (compiled here). Returns its
-     *  index, which ProcId reads; NumProcs reads the number of cores
-     *  added. @p program must outlive the executor. */
+    /** Add a core running @p program, compiled here unless an earlier
+     *  core runs the same Program object, whose records the cores then
+     *  share. Returns its index, which ProcId reads; NumProcs reads the
+     *  number of cores added. @p program must outlive the executor. */
     int addCore(const Program &program);
 
     /** Run all cores to completion; returns dynamic instructions. */
@@ -235,8 +236,7 @@ class ThreadedExecutor
 
     struct CoreState
     {
-        const Program *program;
-        ThreadedProgram tprog;
+        std::size_t compiled;   ///< its program's index in compiled_
         RegFile regs;
         int pc = 0;
         bool halted = false;
@@ -274,6 +274,7 @@ class ThreadedExecutor
                  std::uint64_t &total, std::uint64_t max_steps);
 
     MemoryImage *mem_;
+    std::vector<ThreadedProgram> compiled_;   ///< one per distinct Program
     std::vector<CoreState> cores_;
     PageSlot pageCache_[pageSlots];
 };
@@ -337,10 +338,11 @@ ThreadedExecutor::Exit
 ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
                           std::uint64_t &total, std::uint64_t max_steps)
 {
-    const detail::OpRec *const base = core.tprog.recs_.data();
-    const Instr *const src = core.program->code.data();
-    const auto code_size =
-        static_cast<std::int32_t>(core.program->code.size());
+    const ThreadedProgram &tprog = compiled_[core.compiled];
+    const Program &program = tprog.source();
+    const detail::OpRec *const base = tprog.recs_.data();
+    const Instr *const src = program.code.data();
+    const auto code_size = static_cast<std::int32_t>(program.code.size());
     const detail::OpRec *rec = base + core.pc;
     auto &ir = core.regs.intRegs;
     auto &fr = core.regs.fpRegs;
@@ -694,7 +696,7 @@ ThreadedExecutor::runCore(CoreState &core, Hook &hook, int core_idx,
         // definition (it asserts on an out-of-range pc, exactly as the
         // interpreter would at this point).
         const int pc = rec->pc;
-        const StepResult res = step(*core.program, pc, core.regs, *mem_);
+        const StepResult res = step(program, pc, core.regs, *mem_);
         if (res.syncBlocked) {
             core.pc = pc;
             MPC_EXEC_LEAVE(Exit::Blocked);

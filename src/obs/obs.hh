@@ -24,6 +24,9 @@
 namespace mpc::obs
 {
 
+/** Ring capacity of the shared tracer (events retained). */
+constexpr std::size_t traceCapacity = 1 << 16;
+
 struct ObsConfig
 {
     /** Collect MLP / cluster / stall-taxonomy / per-ref metrics. */
@@ -34,7 +37,6 @@ struct ObsConfig
     /** Dump the trace as Chrome-trace JSON here at end of run
      *  ("" = no end-of-run dump; failure dumps name their own path). */
     std::string tracePath;
-    std::size_t traceCapacity = 1 << 16;
 };
 
 class Observer
@@ -43,7 +45,7 @@ class Observer
     explicit Observer(const ObsConfig &cfg) : cfg_(cfg)
     {
         if (cfg_.trace || !cfg_.tracePath.empty())
-            tracer_ = std::make_unique<Tracer>(cfg_.traceCapacity);
+            tracer_ = std::make_unique<Tracer>(traceCapacity);
     }
 
     const ObsConfig &config() const { return cfg_; }

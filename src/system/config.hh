@@ -84,8 +84,6 @@ struct SystemConfig
     /** Dump the observability ring-buffer trace as Chrome-trace JSON
      *  here at end of run (empty = tracing off). MPC_TRACE=<path>. */
     std::string obsTracePath;
-    /** Ring capacity of the observability tracer (events retained). */
-    std::size_t obsTraceCapacity = 1 << 16;
 };
 
 /**

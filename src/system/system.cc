@@ -52,7 +52,6 @@ System::System(const SystemConfig &cfg,
     ocfg.metrics = cfg_.obsMetrics;
     ocfg.tracePath = cfg_.obsTracePath;
     ocfg.trace = !cfg_.obsTracePath.empty() || cfg_.validate;
-    ocfg.traceCapacity = cfg_.obsTraceCapacity;
     if (ocfg.metrics || ocfg.trace)
         observer_ = std::make_unique<obs::Observer>(ocfg);
 

@@ -63,16 +63,8 @@ struct DriverParams
      */
     std::function<double(int)> realizedMissRate;
     std::function<std::uint64_t(int)> realizedAccesses;
-    /**
-     * Refuse unroll-and-jam (unless it enables scalar replacement)
-     * when the profiled misses of the nest's leading regular
-     * references fall below this fraction of the static estimate.
-     */
-    double minRealizedMissRatio = 0.75;
 
-    bool enableScalarReplacement = true;
-    bool enablePostludeInterchange = true;
-    bool enableInnerUnroll = true;
+    /** Cap on the inner-unroll pass's window-constraint factor. */
     int maxInnerUnroll = 8;
 
     /** Prefetch distance (cache lines ahead) for the prefetch pass. */
@@ -107,10 +99,10 @@ struct PassReport
     std::string detail;
 
     /** Wall time of the post-pass verification (structural check plus
-     *  functional re-execution); 0 when verification was off or the
-     *  pass was skipped. The executing tier is PipelineReport's
-     *  verifyTier. Excluded from toString() — host timing stays off
-     *  stdout — but replayed onto the obs trace. */
+     *  functional re-execution on the threaded tier); 0 when
+     *  verification was off or the pass was skipped. Excluded from
+     *  toString() — host timing stays off stdout — but replayed onto
+     *  the obs trace. */
     double verifyMs = 0.0;
 
     std::string toString() const;
@@ -124,10 +116,9 @@ struct VerifyFailure
 };
 
 /**
- * Structured result of a pipeline run. Supersedes the old
- * DriverReport: toString() reproduces its per-nest lines byte for
- * byte, and leadingRefIds still feeds the codegen scheduler's
- * miss-first packing.
+ * Structured result of a pipeline run: what every pass did, one
+ * NestReport per live nest, and the leadingRefIds that feed the codegen
+ * scheduler's miss-first packing.
  */
 struct PipelineReport
 {
@@ -140,16 +131,10 @@ struct PipelineReport
     std::vector<PassReport> passes;
     std::vector<VerifyFailure> verifyFailures;
 
-    /** Execution backend the functional equivalence checks ran on:
-     *  "threaded" (the kisa tier) | "evaluator" (IR-level fallback for
-     *  kernels the lowered single-core run could block on); empty when
-     *  verification was off. */
-    std::string verifyTier;
-
     /** Wall time of the pre-pipeline reference checksum run. */
     double refChecksumMs = 0.0;
 
-    /** The old DriverReport rendering: one line per nest. */
+    /** One line per nest (NestReport::toString). */
     std::string toString() const;
 };
 

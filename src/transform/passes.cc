@@ -1,8 +1,8 @@
 /**
  * @file
- * The built-in clustering passes: the old applyClustering driver
- * decomposed into registry-keyed Pass implementations. The default
- * pipeline order reproduces the old per-nest episode loop exactly —
+ * The built-in clustering passes: the clustering algorithm of
+ * Sections 3.2.2 and 3.3 as registry-keyed Pass implementations. The
+ * default pipeline order reproduces the per-nest episode loop exactly —
  * the analysis is subtree-local, so sweeping each transformation over
  * all nests commutes with interleaving them per nest.
  */
@@ -89,6 +89,13 @@ collectInnermost(Stmt &loop, std::vector<Stmt *> &out)
 }
 
 /**
+ * Refuse unroll-and-jam (unless it enables scalar replacement) when the
+ * profiled misses of the nest's leading regular references fall below
+ * this fraction of the static estimate.
+ */
+constexpr double kMinRealizedMissRatio = 0.75;
+
+/**
  * True when the run-matched profile shows EVERY leading regular
  * reference of the nest realizing markedly fewer misses than the
  * static one-per-L_m estimate the f model charges it — the situation
@@ -113,7 +120,7 @@ missesUnderRealized(const LoopAnalysis &la, const DriverParams &params)
         const double static_rate =
             1.0 / static_cast<double>(std::max<std::int64_t>(ref.lm, 1));
         if (params.realizedMissRate(ref.refId) >=
-            params.minRealizedMissRatio * static_rate)
+            kMinRealizedMissRatio * static_rate)
             return false;
     }
     return any_regular;

@@ -237,29 +237,34 @@ std::string
 pipelineSpecFromParams(const DriverParams &params)
 {
     static const DriverParams defaults;
-    const auto withKnobs = [&](const char *pass) {
-        std::string entry = pass;
+    std::string spec;
+    for (const std::string &pass :
+         splitTopLevel(defaultPipelineSpec(), ',')) {
         std::string knobs;
         for (const KnobDef &def : kKnobDefs) {
-            if (std::string(def.pass) != pass ||
+            if (pass != def.pass ||
                 params.*def.field == defaults.*def.field)
                 continue;
             if (!knobs.empty())
                 knobs += ",";
             knobs += strprintf("%s=%d", def.knob, params.*def.field);
         }
-        if (!knobs.empty())
-            entry += "(" + knobs + ")";
-        return entry;
-    };
-    std::string spec = "fuse," + withKnobs("cluster");
-    if (params.enablePostludeInterchange)
-        spec += ",postlude-interchange";
-    if (params.enableScalarReplacement)
-        spec += ",scalar-replace";
-    if (params.enableInnerUnroll)
-        spec += "," + withKnobs("inner-unroll");
+        if (!spec.empty())
+            spec += ",";
+        spec += knobs.empty() ? pass : pass + "(" + knobs + ")";
+    }
     return spec;
+}
+
+PipelineReport
+applyClustering(ir::Kernel &kernel, const DriverParams &params)
+{
+    Pipeline pipeline;
+    std::string error;
+    const bool ok = Pipeline::parse(pipelineSpecFromParams(params),
+                                    pipeline, error);
+    MPC_ASSERT(ok, error.c_str());
+    return pipeline.run(kernel, params);
 }
 
 bool
@@ -423,11 +428,11 @@ collectSubscriptVars(const ir::Expr &expr, std::set<std::string> &out)
 }
 
 /**
- * Can this kernel be evaluated on synthetically filled memory without
- * tripping the evaluator's bounds checks? Conservative: counted loops
- * only, and every variable appearing in an array subscript is a loop
- * index (so subscripts stay within the statically declared ranges the
- * kernel was written for). Kernels using pointer chasing or
+ * Can this kernel run on synthetically filled memory with every
+ * subscript inside its array? Conservative: counted loops only, and
+ * every variable appearing in an array subscript is a loop index (so
+ * subscripts stay within the statically declared ranges the kernel was
+ * written for). Kernels using pointer chasing or
  * scalar-computed subscripts need a real memory initializer
  * (Pipeline::initMemory) for the equivalence check.
  */
@@ -463,84 +468,6 @@ syntheticallyEvaluable(const Kernel &kernel)
         if (loop_vars.find(var) == loop_vars.end())
             return false;
     return true;
-}
-
-/**
- * Verification engine for the functional equivalence checks. The hot
- * engine lowers the kernel and executes the KISA program on the
- * threaded tier; the IR-level Evaluator remains as the fallback for
- * kernels whose lowered single-core run could block (FlagWait lowers
- * to a real blocking wait, while the sequential IR semantics treat it
- * as a no-op).
- */
-enum class VerifyEngine
-{
-    Evaluator,
-    KisaThreaded,
-};
-
-bool
-kernelHasFlagWait(const Kernel &kernel)
-{
-    bool found = false;
-    for (const auto &stmt : kernel.body)
-        ir::walkStmts(*stmt, [&](const Stmt &s) {
-            found |= s.kind == Stmt::Kind::FlagWait;
-        });
-    return found;
-}
-
-VerifyEngine
-pickVerifyEngine(const Kernel &kernel)
-{
-    return kernelHasFlagWait(kernel) ? VerifyEngine::Evaluator
-                                     : VerifyEngine::KisaThreaded;
-}
-
-const char *
-verifyEngineName(VerifyEngine engine)
-{
-    switch (engine) {
-      case VerifyEngine::Evaluator: return "evaluator";
-      case VerifyEngine::KisaThreaded: return "threaded";
-    }
-    return "unknown";
-}
-
-/**
- * Clone, lay out (if needed), initialize memory, execute on
- * @p engine, digest. Pre- and post-pass checksums always come from
- * the same engine, so the equivalence property is engine-independent;
- * the engines themselves are cross-checked bit-for-bit by the
- * three-way tests (test_codegen, test_exec, test_workloads).
- */
-std::uint64_t
-evalChecksum(const Kernel &kernel,
-             const std::function<void(kisa::MemoryImage &)> &init,
-             VerifyEngine engine)
-{
-    Kernel clone = kernel.clone();
-    bool laid_out = false;
-    for (const auto &array : clone.arrays)
-        laid_out |= array.base != 0;
-    if (!laid_out && !clone.arrays.empty())
-        ir::layoutArrays(clone);
-    kisa::MemoryImage mem;
-    ir::initKernelMemory(clone, mem, init);
-    if (engine == VerifyEngine::Evaluator) {
-        ir::Evaluator eval(clone, mem);
-        // Single-processor semantics: partitioned kernels compute
-        // their block from these (and would divide by zero unseeded).
-        eval.setVar("__procid", 0);
-        eval.setVar("__nprocs", 1);
-        eval.run();
-    } else {
-        // One core: the program reads __procid = 0 and __nprocs = 1,
-        // matching the evaluator seeding above.
-        const kisa::Program program = codegen::lower(clone);
-        kisa::execute(program, mem);
-    }
-    return ir::checksumArrays(clone, mem);
 }
 
 /** Record or dump-and-panic a verification failure. */
@@ -579,7 +506,17 @@ std::uint64_t
 functionalChecksum(const ir::Kernel &kernel,
                    const std::function<void(kisa::MemoryImage &)> &init)
 {
-    return evalChecksum(kernel, init, pickVerifyEngine(kernel));
+    Kernel clone = kernel.clone();
+    bool laid_out = false;
+    for (const auto &array : clone.arrays)
+        laid_out |= array.base != 0;
+    if (!laid_out && !clone.arrays.empty())
+        ir::layoutArrays(clone);
+    kisa::MemoryImage mem;
+    ir::initKernelMemory(clone, mem, init);
+    // One core: the program reads __procid = 0 and __nprocs = 1.
+    kisa::execute(codegen::lower(clone), mem);
+    return ir::checksumArrays(clone, mem);
 }
 
 // --- execution -------------------------------------------------------
@@ -606,13 +543,7 @@ Pipeline::run(ir::Kernel &kernel, const DriverParams &params) const
 
     bool can_eval = false;
     std::uint64_t ref_checksum = 0;
-    // The engine is picked once per run from the input kernel, so the
-    // reference and every post-pass checksum come from the same
-    // backend.
-    VerifyEngine engine = VerifyEngine::Evaluator;
     if (mode != VerifyMode::Off) {
-        engine = pickVerifyEngine(kernel);
-        report.verifyTier = verifyEngineName(engine);
         const std::string err = ir::verify(kernel);
         if (!err.empty())
             failVerify(mode, "(input)", err, kernel, report);
@@ -621,7 +552,7 @@ Pipeline::run(ir::Kernel &kernel, const DriverParams &params) const
                        syntheticallyEvaluable(kernel);
             if (can_eval) {
                 const auto v0 = std::chrono::steady_clock::now();
-                ref_checksum = evalChecksum(kernel, initMemory, engine);
+                ref_checksum = functionalChecksum(kernel, initMemory);
                 report.refChecksumMs =
                     std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - v0)
@@ -658,7 +589,7 @@ Pipeline::run(ir::Kernel &kernel, const DriverParams &params) const
                 std::string err = ir::verify(kernel, opts);
                 if (err.empty() && can_eval) {
                     const std::uint64_t sum =
-                        evalChecksum(kernel, initMemory, engine);
+                        functionalChecksum(kernel, initMemory);
                     if (sum != ref_checksum)
                         err = strprintf(
                             "functional equivalence check failed: "

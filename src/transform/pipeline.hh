@@ -7,8 +7,10 @@
  * through the string-keyed PassRegistry ("fuse,cluster,prefetch"), so
  * the harness, the benches, `mpclust --pipeline=<spec>`, and the
  * mpctune autotuner all select transformation variants through one
- * factory. The default spec reproduces the old applyClustering driver
- * exactly.
+ * factory. The spec is the only thing that chooses which passes run:
+ * a variant without a pass is a spec without it. The default spec is
+ * the clustering algorithm of Sections 3.2.2 and 3.3, and
+ * applyClustering() runs it.
  *
  * Knob grammar: a pass name may carry per-pass knobs in parentheses,
  * e.g. "cluster(maxDegree=8),prefetch(dist=4)". Each knob maps onto
@@ -29,15 +31,13 @@
  * checker and — when the kernel is evaluable — a functional
  * equivalence check against the pre-pipeline kernel: the kernel is
  * cloned, memory is initialized (through Pipeline::initMemory or a
- * deterministic synthetic fill), the kernel is lowered and executed
- * on the threaded KISA tier (kernels containing FlagWait fall back to
- * the IR evaluator, whose sequential semantics treat waits as
- * no-ops), and the array checksum must match the
- * pre-pipeline checksum — both sides always from the same engine. Since
- * every pass must be semantics-preserving, comparing each post-pass
- * checksum to the pipeline-input checksum names the first failing
- * pass. On failure the offending IR is dumped (MPC_VERIFY_DUMP, or
- * verify_ir_dump.txt) and the run panics naming the pass.
+ * deterministic synthetic fill), the kernel is lowered and executed on
+ * one core of the threaded KISA tier, and the array checksum must
+ * match the pre-pipeline checksum. Since every pass must be
+ * semantics-preserving, comparing each post-pass checksum to the
+ * pipeline-input checksum names the first failing pass. On failure
+ * the offending IR is dumped (MPC_VERIFY_DUMP, or verify_ir_dump.txt)
+ * and the run panics naming the pass.
  */
 
 #ifndef MPC_TRANSFORM_PIPELINE_HH
@@ -155,19 +155,23 @@ class Pipeline
     std::vector<PassKnob> knobs_;
 };
 
-/** The spec reproducing the old applyClustering driver. */
+/** The clustering algorithm of Sections 3.2.2 and 3.3 as a spec. */
 std::string defaultPipelineSpec();
 
 /**
- * The default spec with the passes gated by the old DriverParams
- * enable* flags removed when disabled (how applyClustering honors
- * them), carrying knobs for any knob-backed field that differs from
- * its default (e.g. "cluster(maxDegree=8)" when maxUnroll is 8).
- * parse() of the result followed by applyKnobs() reproduces the gated
- * and knob-backed fields of @p params — the round-trip the autotuner
+ * The default spec carrying knobs for any knob-backed field of
+ * @p params that differs from its default (e.g. "cluster(maxDegree=8)"
+ * when maxUnroll is 8); default params render the default spec
+ * exactly. parse() of the result followed by applyKnobs() reproduces
+ * the knob-backed fields of @p params — the round-trip the autotuner
  * relies on.
  */
 std::string pipelineSpecFromParams(const DriverParams &params);
+
+/** Run pipelineSpecFromParams(@p params) over every loop nest of
+ *  @p kernel. */
+PipelineReport applyClustering(ir::Kernel &kernel,
+                               const DriverParams &params);
 
 /**
  * Can the functional-equivalence checksum be computed for @p kernel?
@@ -179,10 +183,10 @@ bool functionallyCheckable(const ir::Kernel &kernel, bool has_init);
 
 /**
  * Execute @p kernel functionally and digest its array contents: the
- * same clone + layout + init + run + FNV checksum the per-pass
- * verifier uses, on the threaded KISA tier (kernels with FlagWait
- * fall back to the IR evaluator). Two kernels produced by
- * semantics-preserving transformations of one another digest equal.
+ * clone + layout + init + lower + run + FNV checksum the per-pass
+ * verifier uses, on one core of the threaded KISA tier. Two kernels
+ * produced by semantics-preserving transformations of one another
+ * digest equal.
  */
 std::uint64_t functionalChecksum(
     const ir::Kernel &kernel,

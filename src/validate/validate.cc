@@ -11,6 +11,15 @@ namespace mpc::validate
 
 using kisa::Op;
 
+namespace
+{
+
+/** An MSHR outstanding this long will never fill (max observed real
+ *  miss latency is tens of thousands of cycles). */
+constexpr Tick kMshrTimeout = 2'000'000;
+
+} // namespace
+
 // --- CoreValidator ---------------------------------------------------
 
 void
@@ -208,7 +217,7 @@ Validator::auditMshrs(Tick now)
         const auto check = [&](const char *level,
                                const mem::MshrFile &mshrs) {
             for (const auto &e : mshrs.snapshot()) {
-                if (now - e.allocTick <= cfg_.mshrTimeout)
+                if (now - e.allocTick <= kMshrTimeout)
                     continue;
                 recordFailure(
                     now,

@@ -67,12 +67,6 @@ struct ValidateConfig
     Tick coreStallTimeout = 50'000'000;
     /** No core retiring (while unfinished) for this long is a deadlock. */
     Tick systemStallTimeout = 10'000'000;
-    /** An MSHR outstanding this long will never fill (max observed real
-     *  miss latency is tens of thousands of cycles). */
-    Tick mshrTimeout = 2'000'000;
-    /** Capacity of the shared observability tracer the owning System
-     *  sizes for this validator. */
-    std::size_t traceCapacity = 1 << 16;
     bool failFast = true;           ///< fatal() on the first failure
     std::string traceDumpPath;      ///< Chrome-trace JSON, dumped on failure
 };

@@ -15,7 +15,7 @@
 #include "ir/kernel.hh"
 #include "kisa/interp.hh"
 #include "system/system.hh"
-#include "transform/driver.hh"
+#include "transform/pipeline.hh"
 #include "transform/transforms.hh"
 
 namespace mpc::codegen

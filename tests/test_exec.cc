@@ -6,7 +6,8 @@
  * register files, memory contents, instruction counts, and memory-hook
  * access streams. Also covers explicit tier selection, the trap
  * fallback (forged opcodes, out-of-range branch targets), the core-id
- * ops on several cores, the superinstruction peephole (including
+ * ops on several cores, cores sharing one compiled program, the
+ * superinstruction peephole (including
  * branching into the middle of a fused sequence), and the
  * instruction-budget guard.
  */
@@ -323,6 +324,64 @@ TEST(ExecCoreId, OneProgramReadsEachCoresIdOnBothTiers)
         }
     }
     EXPECT_EQ(ThreadedProgram(prog).trapCount(), 0u);
+}
+
+/** Sums 0..@p trips-1, barriers, then stores ProcId and the sum to
+ *  this core's 16-byte slot. */
+Program
+sumProgram(int trips)
+{
+    AsmBuilder b("sum" + std::to_string(trips));
+    const Reg id = 1, sum = 2, i = 3, limit = 4, slot = 5;
+    b.procId(id);
+    b.iLoadImm(sum, 0);
+    b.iLoadImm(i, 0);
+    b.iLoadImm(limit, trips);
+    const auto head = b.newLabel();
+    b.bind(head);
+    b.iAdd(sum, sum, i);
+    b.iAddImm(i, i, 1);
+    b.bLt(i, limit, head);
+    b.barrier();
+    b.iShlImm(slot, id, 4);
+    b.iAddImm(slot, slot, static_cast<std::int64_t>(idSlots));
+    b.stI(slot, 0, id);
+    b.stI(slot, 8, sum);
+    b.halt();
+    return b.finish();
+}
+
+TEST(ExecSharedPrograms, SixCoresOverThreeProgramsMatchInterpreter)
+{
+    // Cores added as p0, p1, p2, p0, p1, p2: the executor compiles each
+    // Program once, and every core finds its records after later cores
+    // have grown the table of compiled programs. A stale pointer into
+    // that table runs freed records (an ASan failure) or another
+    // program, which the counts and sums below would show.
+    const int trips[] = {5, 9, 14};
+    const Program programs[] = {sumProgram(trips[0]), sumProgram(trips[1]),
+                                sumProgram(trips[2])};
+    MemoryImage mem_interp;
+    MemoryImage mem_threaded;
+    Interpreter interp(mem_interp);
+    ThreadedExecutor exec(mem_threaded);
+    for (int c = 0; c < 6; ++c) {
+        interp.addCore(programs[c % 3]);
+        exec.addCore(programs[c % 3]);
+    }
+    EXPECT_EQ(interp.run(), exec.run());
+    for (int c = 0; c < 6; ++c) {
+        SCOPED_TRACE("core " + std::to_string(c));
+        expectRegsEqual(interp.regs(c), exec.regs(c));
+        EXPECT_EQ(interp.instrCount(c), exec.instrCount(c));
+        const Addr slot = idSlots + 16 * static_cast<Addr>(c);
+        for (const Addr addr : {slot, slot + 8})
+            EXPECT_EQ(mem_threaded.ld64(addr), mem_interp.ld64(addr));
+        const int n = trips[c % 3];
+        EXPECT_EQ(mem_threaded.ld64(slot), static_cast<std::uint64_t>(c));
+        EXPECT_EQ(mem_threaded.ld64(slot + 8),
+                  static_cast<std::uint64_t>(n * (n - 1) / 2));
+    }
 }
 
 // --- trap fallback ---------------------------------------------------

@@ -25,7 +25,6 @@
 #include "harness/profiler.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
-#include "transform/driver.hh"
 #include "transform/pipeline.hh"
 #include "workloads/workload.hh"
 
@@ -184,8 +183,14 @@ TEST(DriverGuards, TimeLoopUnrollingRefused)
     layoutArrays(k);
     transform::DriverParams params;
     params.bodySize = codegen::loweredBodySize;
-    params.enableInnerUnroll = false;
-    const auto report = transform::applyClustering(k, params);
+    // The default spec without inner-unroll: the jam degree alone.
+    transform::Pipeline pipeline;
+    std::string error;
+    ASSERT_TRUE(transform::Pipeline::parse(
+        "fuse,cluster,postlude-interchange,scalar-replace", pipeline,
+        error))
+        << error;
+    const auto report = pipeline.run(k, params);
     ASSERT_EQ(report.nests.size(), 1u);
     EXPECT_EQ(report.nests[0].unrollDegree, 1);
 }
@@ -512,18 +517,14 @@ TEST(Manifest, RunManifestJsonCarriesEveryField)
     ASSERT_NE(root.field("validate"), nullptr);
     EXPECT_FALSE(root.field("validate")->b);
     EXPECT_EQ(json::strField(root, "host"), hostString());
-    // An invocation aggregates runs: no single kernel or pipeline, but
-    // the keys still render.
-    EXPECT_EQ(json::strField(root, "kernelHash"), json::hex64(0));
-    EXPECT_EQ(json::strField(root, "pipeline"), "");
 
     // These keys, in this order and no others, are the artifacts'
     // contract: retired fields (the exec tier, the step mode, the
-    // sampling period) stay out.
-    const char *const keys[] = {"schema",     "workload", "kernelHash",
-                                "config",     "configHash", "procs",
-                                "pipeline",   "obs",      "validate",
-                                "host"};
+    // sampling period, and the kernel hash and pipeline an invocation
+    // of many runs never had) stay out.
+    const char *const keys[] = {"schema",     "workload", "config",
+                                "configHash", "procs",    "obs",
+                                "validate",   "host"};
     std::size_t at = 0;
     for (const char *key : keys) {
         const std::size_t found =

@@ -259,6 +259,29 @@ TEST(MpcreportCli, RendersAModelFileWithANullManifest)
     std::remove(path.c_str());
 }
 
+TEST(MpcreportCli, RendersAManifestWithRetiredKeys)
+{
+    // Files written before the manifest lost its kernelHash and
+    // pipeline keys still carry them; the extra keys are ignored.
+    const std::string path =
+        testing::TempDir() + "mpcreport_BENCH_retired_keys.json";
+    std::ofstream(path)
+        << "{\"bench\": \"fig3b_uni\", \"runs\": [], \"manifest\": "
+           "{\"schema\": \"mpc-manifest-v1\", \"workload\": "
+           "\"fig3b_uni\", \"kernelHash\": \"0000000000000000\", "
+           "\"config\": \"base-500MHz\", \"configHash\": "
+           "\"00000000deadbeef\", \"procs\": 1, \"pipeline\": \"\", "
+           "\"obs\": false, \"validate\": false, \"host\": \"\"}}\n";
+    const CliRun run = runMpcreport("'" + path + "'");
+    EXPECT_EQ(run.status, 0) << run.err;
+    EXPECT_NE(run.out.find("artifact provenance"), std::string::npos)
+        << run.out;
+    EXPECT_NE(run.out.find("00000000deadbeef"), std::string::npos)
+        << run.out;
+    EXPECT_EQ(run.out.find("pipeline"), std::string::npos) << run.out;
+    std::remove(path.c_str());
+}
+
 TEST(MpcreportCli, TrailingInputIsMalformedJson)
 {
     // A bench object followed by junk, or by the start of a second

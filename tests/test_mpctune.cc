@@ -11,7 +11,6 @@
 
 #include "harness/autotune.hh"
 #include "harness/manifest.hh"
-#include "transform/driver.hh"
 #include "transform/pipeline.hh"
 #include "workloads/workload.hh"
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the pass pipeline layer: spec parsing, the registry, the
- * report renderings, equivalence between the default pipeline and the
- * legacy applyClustering() entry point, the IR verifier, and fault
+ * report renderings, equivalence between a parsed default pipeline and
+ * the applyClustering() entry point, the IR verifier, and fault
  * injection (an illegal pass must be caught and named by the per-pass
  * verification).
  */
@@ -15,7 +15,6 @@
 #include "ir/eval.hh"
 #include "ir/kernel.hh"
 #include "ir/verify.hh"
-#include "transform/driver.hh"
 #include "transform/pipeline.hh"
 
 namespace mpc::transform
@@ -142,18 +141,6 @@ TEST(PassRegistryTest, HasAllBuiltinPasses)
     }
     const auto names = registry.names();
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-}
-
-TEST(PipelineSpec, ParamsGateSpecPasses)
-{
-    DriverParams params;
-    params.enableInnerUnroll = false;
-    params.enablePostludeInterchange = false;
-    const std::string spec = pipelineSpecFromParams(params);
-    EXPECT_EQ(spec.find("inner-unroll"), std::string::npos);
-    EXPECT_EQ(spec.find("postlude-interchange"), std::string::npos);
-    EXPECT_NE(spec.find("cluster"), std::string::npos);
-    EXPECT_NE(spec.find("scalar-replace"), std::string::npos);
 }
 
 TEST(PipelineSpec, RejectsTrailingComma)
@@ -312,40 +299,34 @@ TEST(PipelineKnobs, SpecFromParamsEmitsKnobsForNonDefaultFields)
 
 TEST(PipelineKnobs, SpecFromParamsRoundTripsAllGateCombos)
 {
-    for (int mask = 0; mask < 8; ++mask) {
-        for (const int max_unroll : {16, 8}) {
-            for (const int max_inner : {8, 3}) {
-                DriverParams params;
-                params.enablePostludeInterchange = (mask & 1) != 0;
-                params.enableScalarReplacement = (mask & 2) != 0;
-                params.enableInnerUnroll = (mask & 4) != 0;
-                params.maxUnroll = max_unroll;
-                params.maxInnerUnroll = max_inner;
+    // Every combination of the knob-backed fields the default spec's
+    // passes carry (the spec itself names the passes).
+    for (const int max_unroll : {16, 8}) {
+        for (const int max_inner : {8, 3}) {
+            DriverParams params;
+            params.maxUnroll = max_unroll;
+            params.maxInnerUnroll = max_inner;
 
-                const std::string spec =
-                    pipelineSpecFromParams(params);
-                Pipeline pipeline;
-                std::string error;
-                ASSERT_TRUE(Pipeline::parse(spec, pipeline, error))
-                    << spec << ": " << error;
-                // Canonical rendering reproduces the spec...
-                EXPECT_EQ(pipeline.spec(), spec);
-                // ...and re-applying the knobs reproduces the
-                // knob-backed fields the gates exposed.
-                DriverParams rebuilt;
-                rebuilt.enablePostludeInterchange =
-                    params.enablePostludeInterchange;
-                rebuilt.enableScalarReplacement =
-                    params.enableScalarReplacement;
-                rebuilt.enableInnerUnroll = params.enableInnerUnroll;
-                pipeline.applyKnobs(rebuilt);
-                EXPECT_EQ(rebuilt.maxUnroll, params.maxUnroll) << spec;
-                if (params.enableInnerUnroll) {
-                    EXPECT_EQ(rebuilt.maxInnerUnroll,
-                              params.maxInnerUnroll)
-                        << spec;
-                }
-            }
+            const std::string spec = pipelineSpecFromParams(params);
+            Pipeline pipeline;
+            std::string error;
+            ASSERT_TRUE(Pipeline::parse(spec, pipeline, error))
+                << spec << ": " << error;
+            // Canonical rendering reproduces the spec...
+            EXPECT_EQ(pipeline.spec(), spec);
+            // ...with the default spec's passes...
+            Pipeline defaults;
+            ASSERT_TRUE(
+                Pipeline::parse(defaultPipelineSpec(), defaults, error));
+            EXPECT_EQ(pipeline.passNames(), defaults.passNames())
+                << spec;
+            // ...and re-applying the knobs reproduces the knob-backed
+            // fields.
+            DriverParams rebuilt;
+            pipeline.applyKnobs(rebuilt);
+            EXPECT_EQ(rebuilt.maxUnroll, params.maxUnroll) << spec;
+            EXPECT_EQ(rebuilt.maxInnerUnroll, params.maxInnerUnroll)
+                << spec;
         }
     }
 }
@@ -387,7 +368,7 @@ TEST(Reports, PassReportToStringShowsSkipsAndDetail)
 }
 
 // ---------------------------------------------------------------------
-// The default pipeline vs the legacy entry point.
+// A parsed default pipeline vs the applyClustering entry point.
 // ---------------------------------------------------------------------
 
 TEST(PipelineRun, DefaultPipelineMatchesApplyClustering)

@@ -15,8 +15,8 @@
 #include "ir/eval.hh"
 #include "ir/kernel.hh"
 #include "kisa/interp.hh"
-#include "transform/driver.hh"
 #include "transform/legality.hh"
+#include "transform/pipeline.hh"
 #include "transform/transforms.hh"
 
 namespace mpc

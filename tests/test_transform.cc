@@ -12,8 +12,8 @@
 #include "common/rng.hh"
 #include "ir/eval.hh"
 #include "ir/kernel.hh"
-#include "transform/driver.hh"
 #include "transform/legality.hh"
+#include "transform/pipeline.hh"
 #include "transform/transforms.hh"
 
 namespace mpc::transform
@@ -38,6 +38,20 @@ subs1(ExprPtr a)
     std::vector<ExprPtr> v;
     v.push_back(std::move(a));
     return v;
+}
+
+/** The default spec without inner-unroll, so a report's degrees are
+ *  the unroll-and-jam search's alone. */
+PipelineReport
+clusterWithoutInnerUnroll(Kernel &kernel, const DriverParams &params)
+{
+    Pipeline pipeline;
+    std::string error;
+    EXPECT_TRUE(Pipeline::parse(
+        "fuse,cluster,postlude-interchange,scalar-replace", pipeline,
+        error))
+        << error;
+    return pipeline.run(kernel, params);
 }
 
 /** Figure 2(a) with distinct source/dest: B[j][i] = A[j][i] * 2 + j. */
@@ -415,8 +429,7 @@ TEST(Driver, Fig2aChoosesLpDegree)
     DriverParams params;
     params.lp = 10;
     params.maxUnroll = 16;
-    params.enableInnerUnroll = false;
-    auto report = applyClustering(k, params);
+    auto report = clusterWithoutInnerUnroll(k, params);
     ASSERT_EQ(report.nests.size(), 1u);
     EXPECT_EQ(report.nests[0].unrollDegree, 10);
     EXPECT_NEAR(report.nests[0].fAfter, 10.0, 0.01);
@@ -431,8 +444,7 @@ TEST(Driver, TwoLeadingRefsHalveTheDegree)
     DriverParams params;
     params.lp = 10;
     params.maxUnroll = 16;
-    params.enableInnerUnroll = false;
-    auto report = applyClustering(k, params);
+    auto report = clusterWithoutInnerUnroll(k, params);
     ASSERT_EQ(report.nests.size(), 1u);
     EXPECT_EQ(report.nests[0].unrollDegree, 5);
     EXPECT_NEAR(report.nests[0].fAfter, 10.0, 0.01);
@@ -444,8 +456,7 @@ TEST(Driver, RespectsMaxUnroll)
     DriverParams params;
     params.lp = 10;
     params.maxUnroll = 4;
-    params.enableInnerUnroll = false;
-    auto report = applyClustering(k, params);
+    auto report = clusterWithoutInnerUnroll(k, params);
     EXPECT_EQ(report.nests[0].unrollDegree, 4);
 }
 
@@ -512,8 +523,7 @@ TEST(Driver, NoOpWhenModeledFDoesNotImprove)
 
     DriverParams params;
     params.lp = 10;
-    params.enableInnerUnroll = false;
-    auto report = applyClustering(k, params);
+    auto report = clusterWithoutInnerUnroll(k, params);
     ASSERT_EQ(report.nests.size(), 1u);
     EXPECT_EQ(report.nests[0].unrollDegree, 1);
     EXPECT_NEAR(report.nests[0].fAfter, report.nests[0].fBefore, 0.01);
@@ -527,10 +537,9 @@ TEST(Driver, RealizedMissGateRefusesUnderRealizedJam)
     Kernel k = sweepKernel(64, 64);
     DriverParams params;
     params.lp = 10;
-    params.enableInnerUnroll = false;
     params.realizedMissRate = [](int) { return 0.001; };
     params.realizedAccesses = [](int) { return std::uint64_t(4096); };
-    auto report = applyClustering(k, params);
+    auto report = clusterWithoutInnerUnroll(k, params);
     ASSERT_EQ(report.nests.size(), 1u);
     EXPECT_EQ(report.nests[0].unrollDegree, 1);
     EXPECT_NE(report.nests[0].note.find("refused"), std::string::npos);
@@ -543,10 +552,9 @@ TEST(Driver, RealizedMissGateKeepsRealizedJam)
     Kernel k = sweepKernel(64, 64);
     DriverParams params;
     params.lp = 10;
-    params.enableInnerUnroll = false;
     params.realizedMissRate = [](int) { return 0.125; };
     params.realizedAccesses = [](int) { return std::uint64_t(4096); };
-    auto report = applyClustering(k, params);
+    auto report = clusterWithoutInnerUnroll(k, params);
     ASSERT_EQ(report.nests.size(), 1u);
     EXPECT_EQ(report.nests[0].unrollDegree, 5);
 }
@@ -560,12 +568,11 @@ TEST(Driver, RealizedMissGateKeepsJamWithOneLiveStream)
     Kernel k = sweepKernel(64, 64);
     DriverParams params;
     params.lp = 10;
-    params.enableInnerUnroll = false;
     params.realizedMissRate = [](int ref_id) {
         return ref_id == 0 ? 0.125 : 0.001;
     };
     params.realizedAccesses = [](int) { return std::uint64_t(4096); };
-    auto report = applyClustering(k, params);
+    auto report = clusterWithoutInnerUnroll(k, params);
     ASSERT_EQ(report.nests.size(), 1u);
     EXPECT_EQ(report.nests[0].unrollDegree, 5);
 }
@@ -593,10 +600,9 @@ TEST(Driver, RealizedMissGateKeepsJamEnablingScalarReuse)
 
     DriverParams params;
     params.lp = 10;
-    params.enableInnerUnroll = false;
     params.realizedMissRate = [](int) { return 0.001; };
     params.realizedAccesses = [](int) { return std::uint64_t(4096); };
-    auto report = applyClustering(k, params);
+    auto report = clusterWithoutInnerUnroll(k, params);
     ASSERT_EQ(report.nests.size(), 1u);
     EXPECT_GT(report.nests[0].unrollDegree, 1);
     EXPECT_GT(report.nests[0].scalarsReplaced, 0);

@@ -15,7 +15,6 @@
 #include "ir/eval.hh"
 #include "kisa/exec_threaded.hh"
 #include "kisa/interp.hh"
-#include "transform/driver.hh"
 #include "transform/pipeline.hh"
 #include "transform/transforms.hh"
 #include "workloads/workload.hh"
@@ -185,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(Parallel, ParallelWorkloads,
 // Driver decisions per the paper's per-application discussion.
 // ---------------------------------------------------------------------
 
-transform::DriverReport
+transform::PipelineReport
 decisionsFor(const Workload &w)
 {
     ir::Kernel kernel = w.kernel.clone();

@@ -15,7 +15,7 @@
  *
  * The report renders, per input kind:
  *  - a provenance table: every artifact's RunManifest (workload,
- *    config + hash, pipeline, procs), with a warning when artifacts of
+ *    config + hash, procs), with a warning when artifacts of
  *    one workload disagree on the config hash — the mismatch that
  *    makes cross-artifact comparisons lie;
  *  - per bench file, each run's simulated cycles and host timing;
@@ -119,7 +119,7 @@ fmt(const char *format, ...)
 struct Manifest
 {
     bool present = false;
-    std::string workload, config, configHash, pipeline;
+    std::string workload, config, configHash;
     int procs = 0;
 
     static Manifest
@@ -132,7 +132,6 @@ struct Manifest
         m.workload = mpc::json::strField(*v, "workload");
         m.config = mpc::json::strField(*v, "config");
         m.configHash = mpc::json::strField(*v, "configHash");
-        m.pipeline = mpc::json::strField(*v, "pipeline");
         m.procs = static_cast<int>(mpc::json::numField(*v, "procs"));
         return m;
     }
@@ -180,17 +179,15 @@ reportManifests(const std::vector<Artifact> &artifacts)
     heading("artifact provenance");
     Table t;
     t.header = {"artifact", "kind", "workload", "config", "configHash",
-                "pipeline", "procs"};
+                "procs"};
     for (const Artifact &a : artifacts) {
         const Manifest &m = a.manifest;
         if (!m.present) {
-            t.rows.push_back({a.path, a.kind, "-", "-", "-", "-", "-"});
+            t.rows.push_back({a.path, a.kind, "-", "-", "-", "-"});
             continue;
         }
         t.rows.push_back({a.path, a.kind, m.workload, m.config,
-                          m.configHash,
-                          m.pipeline.empty() ? "(base)" : m.pipeline,
-                          std::to_string(m.procs)});
+                          m.configHash, std::to_string(m.procs)});
     }
     t.print();
 
