@@ -161,13 +161,12 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
     // own range (balanced chunks, per-processor postludes). Partitioning
     // is itself a registered pass run as a one-pass pipeline, so it gets
     // the same per-pass verification as the main transformation.
-    std::vector<transform::PassReport> partition_passes;
+    transform::PipelineReport partition_report;
     if (spec.procs > 1) {
         transform::Pipeline partition =
             makePipeline("partition", workload, spec);
         transform::DriverParams partition_params;
-        partition_passes =
-            std::move(partition.run(kernel, partition_params).passes);
+        partition_report = partition.run(kernel, partition_params);
     }
 
     if (transforming) {
@@ -181,12 +180,6 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
             makePipeline(spec_string, workload, spec);
         out.report = pipeline.run(kernel, params);
     }
-    if (!partition_passes.empty())
-        out.report.passes.insert(out.report.passes.begin(),
-                                 std::make_move_iterator(
-                                     partition_passes.begin()),
-                                 std::make_move_iterator(
-                                     partition_passes.end()));
 
     out.kernelText = kernel.toString();
 
@@ -211,46 +204,47 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
 
     // Replay the per-pass wall times as spans on a dedicated compiler
     // track (microsecond pseudo-ticks starting at 0), so an MPC_TRACE
-    // timeline shows what the transformation pipeline did before the
-    // simulated execution. Names come from the registry so the tracer
-    // only ever sees process-lifetime strings.
+    // timeline shows what the transformation pipelines did before the
+    // simulated execution: the partition pipeline, then the main one,
+    // each check where it ran. Names come from the registry so the
+    // tracer only ever sees process-lifetime strings.
     if (obs::Observer *observer = system.observer()) {
         if (obs::Tracer *tracer = observer->tracer();
-            tracer != nullptr && !out.report.passes.empty()) {
+            tracer != nullptr && (!partition_report.passes.empty() ||
+                                  !out.report.passes.empty())) {
             tracer->setTrackName(kCompilerTrack, "compiler passes");
-            // A string literal: the tracer keeps event-name pointers.
-            // Verification times are 0 when it was off; only a
-            // transforming run's report shows them.
-            const char *const verify_name = "verify/threaded";
             Tick now = 0;
-            if (transforming && out.report.refChecksumMs > 0.0) {
-                const Tick dur = std::max<Tick>(
-                    1, static_cast<Tick>(out.report.refChecksumMs *
-                                         1000.0));
-                tracer->span(now, now + dur, kCompilerTrack,
-                             verify_name);
+            auto span = [&](double ms, const char *name,
+                            std::uint64_t a0 = 0, std::uint64_t a1 = 0) {
+                const Tick dur =
+                    std::max<Tick>(1, static_cast<Tick>(ms * 1000.0));
+                tracer->keepSpan(now, now + dur, kCompilerTrack, name,
+                                 a0, a1);
                 now += dur;
-            }
-            for (const auto &pass : out.report.passes) {
-                const Tick dur = std::max<Tick>(
-                    1, static_cast<Tick>(pass.wallMs * 1000.0));
-                tracer->span(now, now + dur, kCompilerTrack,
-                             transform::PassRegistry::instance()
-                                 .stableName(pass.pass),
-                             static_cast<std::uint64_t>(pass.actions),
-                             pass.skipped ? 1 : 0);
-                now += dur;
-                if (transforming && pass.verifyMs > 0.0) {
-                    const Tick vdur = std::max<Tick>(
-                        1,
-                        static_cast<Tick>(pass.verifyMs * 1000.0));
-                    tracer->span(now, now + vdur, kCompilerTrack,
-                                 verify_name);
-                    now += vdur;
+            };
+            // Check times are 0 when verification was off. The name is
+            // a string literal: the tracer keeps event-name pointers.
+            const char *const verify_name = "verify/threaded";
+            for (const transform::PipelineReport *report :
+                 {&partition_report, &out.report}) {
+                if (report->refChecksumMs > 0.0)
+                    span(report->refChecksumMs, verify_name);
+                for (const auto &pass : report->passes) {
+                    span(pass.wallMs,
+                         transform::PassRegistry::instance().stableName(
+                             pass.pass),
+                         static_cast<std::uint64_t>(pass.actions),
+                         pass.skipped ? 1 : 0);
+                    if (pass.verifyMs > 0.0)
+                        span(pass.verifyMs, verify_name);
                 }
             }
         }
     }
+    out.report.passes.insert(
+        out.report.passes.begin(),
+        std::make_move_iterator(partition_report.passes.begin()),
+        std::make_move_iterator(partition_report.passes.end()));
 
     out.result = system.run(spec.maxCycles);
     return out;

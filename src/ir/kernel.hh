@@ -59,6 +59,8 @@ struct Array
 
     /** Byte address of the given element (after layout). */
     Addr addrOf(const std::vector<std::int64_t> &subs) const;
+
+    bool operator==(const Array &) const = default;
 };
 
 struct Expr;

@@ -136,6 +136,8 @@ struct Instr
 
     /** Pretty-print (mnemonic plus operands). */
     std::string toString() const;
+
+    bool operator==(const Instr &) const = default;
 };
 
 /**

@@ -13,13 +13,13 @@ Tracer::dumpChromeJson(const std::string &path) const
     if (f == nullptr)
         return false;
 
-    // Gather retained events oldest-first, then order by timestamp:
-    // spans enter the ring at completion time with ts = start, so ring
-    // order alone is not chronological.
+    // Gather the kept spans, then the retained events oldest-first,
+    // then order by timestamp: spans enter the ring at completion time
+    // with ts = start, so ring order alone is not chronological.
     const std::size_t n = size();
     const std::uint64_t first = count_ - n;
-    std::vector<TraceEvent> events;
-    events.reserve(n);
+    std::vector<TraceEvent> events = kept_;
+    events.reserve(kept_.size() + n);
     for (std::size_t i = 0; i < n; ++i)
         events.push_back(ring_[(first + i) % ring_.size()]);
     std::stable_sort(events.begin(), events.end(),

@@ -12,11 +12,13 @@
  *
  * Recording is O(1) and allocation-free after construction (names must
  * be static strings; the ring holds fixed-size events and overwrites
- * the oldest once full). Export sorts the retained events by timestamp
- * — spans are recorded at their *end*, so raw ring order is not
- * chronological — and emits chrome://tracing "i" (instant), "X"
- * (complete/span), and "C" (counter) events plus thread_name metadata
- * for the registered tracks.
+ * the oldest once full). keepSpan() is the exception: it appends to a
+ * list outside the ring, for the few spans recorded before a run.
+ * Export sorts the retained events by timestamp — spans are recorded
+ * at their *end*, so raw ring order is not chronological — and emits
+ * chrome://tracing "i" (instant), "X" (complete/span), and "C"
+ * (counter) events plus thread_name metadata for the registered
+ * tracks.
  */
 
 #ifndef MPC_OBS_TRACE_HH
@@ -73,6 +75,20 @@ class Tracer
               a1});
     }
 
+    /**
+     * Record a span outside the ring, so wrap-around never drops it:
+     * for the few spans that describe what ran before the simulation
+     * (the compiler track), which would otherwise be the first events
+     * a long run overwrites. Exported with the ring's events.
+     */
+    void
+    keepSpan(Tick start, Tick end, int tid, const char *name,
+             std::uint64_t a0 = 0, std::uint64_t a1 = 0)
+    {
+        kept_.push_back({start, end > start ? end - start : 1, tid, Span,
+                         name, a0, a1});
+    }
+
     /** Record a counter sample (rendered as a stacked-area track). */
     void
     counter(Tick tick, int tid, const char *name, std::uint64_t value)
@@ -123,6 +139,7 @@ class Tracer
 
     std::vector<TraceEvent> ring_;
     std::uint64_t count_ = 0;
+    std::vector<TraceEvent> kept_;      ///< keepSpan(); never dropped
     std::map<int, std::string> trackNames_;
 };
 

@@ -98,11 +98,11 @@ struct PassReport
     bool skipped = false;       ///< applicability precheck said no
     std::string detail;
 
-    /** Wall time of the post-pass verification (structural check plus
-     *  functional re-execution on the threaded tier); 0 when
-     *  verification was off or the pass was skipped. Excluded from
-     *  toString() — host timing stays off stdout — but replayed onto
-     *  the obs trace. */
+    /** Wall time of the post-pass verification (structural check,
+     *  lowering, and the run on the threaded tier when the pass changed
+     *  the lowered program); 0 when verification was off or the pass
+     *  was skipped. Excluded from toString() — host timing stays off
+     *  stdout — but replayed onto the obs trace. */
     double verifyMs = 0.0;
 
     std::string toString() const;

@@ -4,23 +4,26 @@
  * well-formed Chrome-trace JSON with monotonic timestamps; the
  * MissTracker's MLP histogram and cluster-size distribution must match
  * hand-computed oracles; the stall taxonomy must tile exactly the same
- * retire slots the core's own breakdown charges; and turning metrics or
+ * retire slots the core's own breakdown charges; turning metrics or
  * tracing on must leave simulation results bit-identical in both step
- * modes.
+ * modes; and a run's compiler track must show every check that ran.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "harness/runner.hh"
 #include "kisa/program.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "system/system.hh"
+#include "workloads/workload.hh"
 
 namespace mpc
 {
@@ -133,6 +136,25 @@ TEST(Tracer, RingOverwritesOldestButKeepsCounts)
     EXPECT_EQ(tracer.size(), 4u);
     EXPECT_EQ(tracer.recorded(), 10u);
     EXPECT_EQ(tracer.dropped(), 6u);
+}
+
+TEST(Tracer, KeptSpansSurviveRingWrap)
+{
+    // A kept span recorded first is not the oldest ring event: it is
+    // exported after the ring wraps, and it is not counted as dropped.
+    const std::string path = "obs_test_kept_trace.json";
+    obs::Tracer tracer(4);
+    tracer.keepSpan(0, 5, -2, "kept");
+    for (int i = 0; i < 10; ++i)
+        tracer.record(i, 0, "e");
+    EXPECT_EQ(tracer.dropped(), 6u);
+    ASSERT_TRUE(tracer.dumpChromeJson(path));
+    const std::string json = readFile(path);
+    std::remove(path.c_str());
+    EXPECT_NE(json.find("\"name\":\"kept\""), std::string::npos) << json;
+    EXPECT_EQ(timestampsOf(json).size(), 5u);
+    EXPECT_NE(json.find("\"dropped_events\":6"), std::string::npos)
+        << json;
 }
 
 TEST(Tracer, DumpReportsDroppedEventsInFooter)
@@ -332,6 +354,72 @@ TEST(Obs, RunMetricsRenderAndSerialize)
     EXPECT_EQ(json.back(), '}');
     EXPECT_NE(json.find("\"mlpMean\""), std::string::npos);
     EXPECT_NE(json.find("\"stallSlots\""), std::string::npos);
+}
+
+/** Sets an environment variable for one scope and restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name)) {
+            had_ = true;
+            saved_ = old;
+        }
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (had_)
+            setenv(name_, saved_.c_str(), 1);
+        else
+            unsetenv(name_);
+    }
+
+  private:
+    const char *name_;
+    bool had_ = false;
+    std::string saved_;
+};
+
+/** Names of the span events on track @p tid, in document order. */
+std::vector<std::string>
+spanNamesOnTrack(const std::string &json, int tid)
+{
+    const std::string track = "\"tid\":" + std::to_string(tid) + ",";
+    std::vector<std::string> names;
+    std::istringstream lines(json);
+    std::string line;
+    while (std::getline(lines, line)) {
+        if (line.find("\"ph\":\"X\"") == std::string::npos ||
+            line.find(track) == std::string::npos)
+            continue;
+        const std::size_t start = line.find("\"name\":\"") + 8;
+        names.push_back(line.substr(start, line.find('"', start) - start));
+    }
+    return names;
+}
+
+TEST(Obs, BaseRunTraceShowsTheChecksAroundPartition)
+{
+    // A base run at P > 1 runs one pipeline, the partition pass. With
+    // per-pass verification on, its compiler track must show the
+    // reference check before that pass and the post-pass check after.
+    const ScopedEnv verify("MPC_VERIFY_PASSES", "1");
+    const ScopedEnv trace("MPC_TRACE", "obs_test_base_trace.json");
+    workloads::SizeParams size;
+    size.scale = 1;
+    harness::RunSpec spec;
+    spec.procs = 2;
+    (void)harness::runWorkload(workloads::makeByName("fft", size), spec);
+
+    const std::string path = "obs_test_base_trace.fft.base.2p.json";
+    const std::string json = readFile(path);
+    std::remove(path.c_str());
+    // -2 is runWorkload's compiler track.
+    EXPECT_EQ(spanNamesOnTrack(json, -2),
+              (std::vector<std::string>{"verify/threaded", "partition",
+                                        "verify/threaded"}));
 }
 
 } // namespace

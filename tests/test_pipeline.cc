@@ -2,16 +2,18 @@
  * @file
  * Tests for the pass pipeline layer: spec parsing, the registry, the
  * report renderings, equivalence between a parsed default pipeline and
- * the applyClustering() entry point, the IR verifier, and fault
- * injection (an illegal pass must be caught and named by the per-pass
- * verification).
+ * the applyClustering() entry point, the per-pass check's reuse of an
+ * unchanged program's run, the IR verifier, and fault injection (an
+ * illegal pass must be caught and named by the per-pass verification).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 
+#include "codegen/codegen.hh"
 #include "ir/eval.hh"
 #include "ir/kernel.hh"
 #include "ir/verify.hh"
@@ -53,6 +55,55 @@ twinSweeps(std::int64_t n = 40)
     assignRefIds(k);
     layoutArrays(k);
     return k;
+}
+
+/** B[j][i] = A[j][i] + A[j+1][i]: a 2-deep nest the cluster pass
+ *  jams when every reference misses. */
+Kernel
+rowPairs(std::int64_t rows = 32, std::int64_t cols = 24)
+{
+    Kernel k;
+    k.name = "rows";
+    Array *a = k.addArray("A", ScalType::F64, {rows + 1, cols});
+    Array *b = k.addArray("B", ScalType::F64, {rows, cols});
+    auto at = [](Array *arr, ExprPtr row) {
+        std::vector<ExprPtr> subs;
+        subs.push_back(std::move(row));
+        subs.push_back(varref("i"));
+        return aref(arr, std::move(subs));
+    };
+    std::vector<StmtPtr> ib;
+    ib.push_back(assign(at(b, varref("j")),
+                        add(at(a, varref("j")),
+                            at(a, add(varref("j"), iconst(1))))));
+    std::vector<StmtPtr> jb;
+    jb.push_back(forLoop("i", iconst(0), iconst(cols), std::move(ib)));
+    k.body.push_back(forLoop("j", iconst(0), iconst(rows), std::move(jb)));
+    assignRefIds(k);
+    layoutArrays(k);
+    return k;
+}
+
+/**
+ * Parse @p spec into a Record-mode pipeline whose memory initializer
+ * fills @p kernel's arrays synthetically and counts in @p executions
+ * how often it ran: once per execution of a lowered program.
+ */
+Pipeline
+countingPipeline(const std::string &spec, const Kernel &kernel,
+                 int &executions)
+{
+    Pipeline pipeline;
+    std::string error;
+    EXPECT_TRUE(Pipeline::parse(spec, pipeline, error)) << error;
+    pipeline.verifyMode = VerifyMode::Record;
+    auto reference = std::make_shared<const Kernel>(kernel.clone());
+    pipeline.initMemory = [reference,
+                           &executions](kisa::MemoryImage &mem) {
+        ++executions;
+        fillArraysSynthetic(*reference, mem);
+    };
+    return pipeline;
 }
 
 // ---------------------------------------------------------------------
@@ -431,6 +482,46 @@ TEST(PipelineRun, PrefetchOnlyPipeline)
 }
 
 // ---------------------------------------------------------------------
+// The verifier runs a program only when a pass changed it.
+// ---------------------------------------------------------------------
+
+TEST(VerifyMemo, SpecThatChangesNothingExecutesOnlyTheReference)
+{
+    // None of these passes finds work in two single sweeps, so every
+    // post-pass check sees the reference program again.
+    Kernel k = twinSweeps(32);
+    int executions = 0;
+    Pipeline pipeline = countingPipeline(
+        "cluster,scalar-replace,inner-unroll", k, executions);
+    const auto report = pipeline.run(k, DriverParams{});
+    EXPECT_TRUE(report.verifyFailures.empty());
+    ASSERT_EQ(report.passes.size(), 3u);
+    for (const auto &pass : report.passes) {
+        EXPECT_FALSE(pass.skipped) << pass.pass;
+        EXPECT_EQ(pass.actions, 0) << pass.pass;
+    }
+    EXPECT_EQ(executions, 1);
+}
+
+TEST(VerifyMemo, OnlyAChangedProgramExecutesAgain)
+{
+    // In the default spec only cluster changes this nest: the
+    // reference and the check after cluster execute, the rest reuse.
+    Kernel k = rowPairs();
+    DriverParams params;
+    params.missRate = [](int) { return 1.0; };
+    params.bodySize = codegen::loweredBodySize;
+    int executions = 0;
+    Pipeline pipeline =
+        countingPipeline(defaultPipelineSpec(), k, executions);
+    const auto report = pipeline.run(k, params);
+    EXPECT_TRUE(report.verifyFailures.empty());
+    for (const auto &pass : report.passes)
+        EXPECT_EQ(pass.actions > 0, pass.pass == "cluster") << pass.pass;
+    EXPECT_EQ(executions, 2);
+}
+
+// ---------------------------------------------------------------------
 // The IR verifier.
 // ---------------------------------------------------------------------
 
@@ -571,6 +662,24 @@ class EvilZeroStepPass : public Pass
     }
 };
 
+/** Grows the first array by one element the kernel never touches. A
+ *  1-D subscript does not read the dimension, so the lowered program
+ *  stays the same, but the checksum covers one more word. */
+class EvilGrowArrayPass : public Pass
+{
+  public:
+    const char *name() const override { return "evil-grow-array"; }
+
+    void
+    run(ir::Kernel &kernel, PassContext &ctx, PassReport &pr) const
+        override
+    {
+        (void)ctx;
+        ++kernel.arrays.front().dims.back();
+        ++pr.actions;
+    }
+};
+
 void
 registerEvilPasses()
 {
@@ -579,6 +688,8 @@ registerEvilPasses()
             std::make_unique<EvilTruncatePass>());
         PassRegistry::instance().add(
             std::make_unique<EvilZeroStepPass>());
+        PassRegistry::instance().add(
+            std::make_unique<EvilGrowArrayPass>());
         return true;
     }();
     (void)once;
@@ -604,6 +715,44 @@ TEST(FaultInjection, EquivalenceCheckNamesTheFailingPass)
     // The pipeline stopped at the bad pass: prefetch never ran.
     ASSERT_EQ(report.passes.size(), 2u);
     EXPECT_EQ(report.passes.back().pass, "evil-truncate");
+}
+
+TEST(FaultInjection, ArraysChangedUnderTheSameProgramAreCaught)
+{
+    registerEvilPasses();
+    Kernel k = twinSweeps(32);
+    {
+        // The premise: the pass leaves the lowered program as it was.
+        Kernel grown = k.clone();
+        ++grown.arrays.front().dims.back();
+        ASSERT_EQ(codegen::lower(grown).code, codegen::lower(k).code);
+    }
+    int executions = 0;
+    Pipeline pipeline =
+        countingPipeline("evil-grow-array", k, executions);
+    const auto report = pipeline.run(k, DriverParams{});
+    ASSERT_EQ(report.verifyFailures.size(), 1u);
+    EXPECT_EQ(report.verifyFailures[0].pass, "evil-grow-array");
+    EXPECT_NE(report.verifyFailures[0].what.find("equivalence"),
+              std::string::npos)
+        << report.verifyFailures[0].what;
+    EXPECT_EQ(executions, 2);
+}
+
+TEST(FaultInjection, BadPassAfterANoOpPassIsNamed)
+{
+    // scalar-replace changes nothing here, so its check reuses the
+    // reference run; the truncation after it must still execute.
+    registerEvilPasses();
+    Kernel k = twinSweeps(32);
+    int executions = 0;
+    Pipeline pipeline = countingPipeline("scalar-replace,evil-truncate",
+                                         k, executions);
+    const auto report = pipeline.run(k, DriverParams{});
+    ASSERT_EQ(report.verifyFailures.size(), 1u);
+    EXPECT_EQ(report.verifyFailures[0].pass, "evil-truncate");
+    EXPECT_EQ(report.passes.front().actions, 0);
+    EXPECT_EQ(executions, 2);
 }
 
 TEST(FaultInjection, StructuralCheckNamesTheFailingPass)

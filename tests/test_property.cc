@@ -1,9 +1,9 @@
 /**
  * @file
  * Property-based tests: randomly generated affine loop nests are
- * pushed through every transformation and through codegen, and must
- * always compute bit-identical results to the untransformed kernel
- * (IR evaluator as the oracle, KISA interpreter as the second
+ * pushed through every transformation, random pass specs and codegen,
+ * and must always compute bit-identical results to the untransformed
+ * kernel (IR evaluator as the oracle, KISA interpreter as the second
  * implementation). Parameterized over seeds (TEST_P sweeps).
  */
 
@@ -206,6 +206,46 @@ TEST_P(FuzzSeeds, FullDriverPreservesSemantics)
     transform::applyClustering(x, params);
     EXPECT_EQ(rk.evalChecksum(x), golden) << x.toString();
     EXPECT_EQ(rk.interpChecksum(x, true), golden);
+}
+
+TEST_P(FuzzSeeds, RandomPassSpecsPassEveryCheck)
+{
+    // Random orders of the clustering passes, most of which leave a
+    // given nest alone, so most post-pass checks reuse the last run.
+    RandomKernel rk(GetParam());
+    const std::uint64_t golden = rk.evalChecksum(rk.kernel);
+    Rng rng(GetParam() * 1009 + 17);
+    const std::vector<std::string> names = {
+        "fuse", "cluster", "postlude-interchange", "scalar-replace",
+        "inner-unroll", "prefetch"};
+    for (int draw = 0; draw < 12; ++draw) {
+        // Shuffle, then keep a non-empty prefix.
+        std::vector<std::string> order = names;
+        for (std::size_t i = order.size() - 1; i > 0; --i)
+            std::swap(order[i], order[rng.below(i + 1)]);
+        order.resize(1 + rng.below(order.size()));
+        std::string spec;
+        for (const std::string &name : order)
+            spec += (spec.empty() ? "" : ",") + name;
+
+        transform::Pipeline pipeline;
+        std::string error;
+        ASSERT_TRUE(transform::Pipeline::parse(spec, pipeline, error))
+            << error;
+        pipeline.verifyMode = transform::VerifyMode::Record;
+        pipeline.initMemory = [&rk](kisa::MemoryImage &mem) {
+            rk.fill(mem, 1);
+        };
+        Kernel x = rk.kernel.clone();
+        transform::DriverParams params;
+        params.bodySize = codegen::loweredBodySize;
+        const auto report = pipeline.run(x, params);
+        for (const auto &failure : report.verifyFailures)
+            ADD_FAILURE() << spec << ": pass " << failure.pass << ": "
+                          << failure.what;
+        EXPECT_EQ(rk.evalChecksum(x), golden)
+            << spec << "\n" << x.toString();
+    }
 }
 
 TEST_P(FuzzSeeds, PartitioningCoversSpace)
