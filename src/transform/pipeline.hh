@@ -42,12 +42,12 @@
  * A check executes only what a pass changed. run() keeps the last
  * program it executed (first the reference), the laid-out arrays it
  * ran over, and their checksum. A post-pass kernel whose lowered
- * instructions and arrays (element type, dims, base) equal the kept
- * ones reuses that checksum. That is exact: the checksum depends on
- * nothing else but the memory initializer, which is fixed for the run,
- * and a run on one core is deterministic, so executing again would
- * give the same value. The structural check still runs after every
- * pass. A check on P cores must add P to the key.
+ * instructions and arrays (name, element type, dims, base) equal the
+ * kept ones reuses that checksum. That is exact: the checksum depends
+ * on nothing else but the memory initializer, which is fixed for the
+ * run, and a run on one core is deterministic, so executing again
+ * would give the same value. The structural check still runs after
+ * every pass. A check on P cores must add P to the key.
  */
 
 #ifndef MPC_TRANSFORM_PIPELINE_HH
