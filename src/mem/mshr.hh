@@ -195,6 +195,9 @@ class MshrFile
         bool hasRead = false;
         bool issued = false;
         int numTargets = 0;
+        /** Targets with a completion to deliver: 0 for a software
+         *  prefetch's miss, which nobody waits on. */
+        int numWaiting = 0;
     };
 
     /** Snapshots of all valid entries (validation audits / diagnostics). */
@@ -205,9 +208,12 @@ class MshrFile
         for (const auto &e : entries_) {
             if (!e.valid)
                 continue;
+            int waiting = 0;
+            for (const auto &t : e.targets)
+                waiting += static_cast<bool>(t.onComplete);
             out.push_back({e.lineAddr, e.allocTick, e.exclusive,
                            e.hasRead, e.issued,
-                           static_cast<int>(e.targets.size())});
+                           static_cast<int>(e.targets.size()), waiting});
         }
         return out;
     }

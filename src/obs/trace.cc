@@ -16,7 +16,7 @@ Tracer::dumpChromeJson(const std::string &path) const
     // Gather the kept spans, then the retained events oldest-first,
     // then order by timestamp: spans enter the ring at completion time
     // with ts = start, so ring order alone is not chronological.
-    const std::size_t n = size();
+    const std::size_t n = retained();
     const std::uint64_t first = count_ - n;
     std::vector<TraceEvent> events = kept_;
     events.reserve(kept_.size() + n);

@@ -102,16 +102,13 @@ class Tracer
         trackNames_[tid] = std::move(name);
     }
 
-    /** Events currently retained (<= capacity). */
-    std::size_t
-    size() const
-    {
-        return count_ < ring_.size() ? static_cast<std::size_t>(count_)
-                                     : ring_.size();
-    }
+    /** Events a dump exports: the kept spans and the events the ring
+     *  retains (<= capacity). */
+    std::size_t size() const { return kept_.size() + retained(); }
 
-    /** Events ever recorded (including overwritten ones). */
-    std::uint64_t recorded() const { return count_; }
+    /** Events ever recorded, kept spans and overwritten events
+     *  included: recorded() == size() + dropped(). */
+    std::uint64_t recorded() const { return kept_.size() + count_; }
 
     /** Events overwritten by ring wrap-around (lost from any dump). */
     std::uint64_t
@@ -130,6 +127,14 @@ class Tracer
     bool dumpChromeJson(const std::string &path) const;
 
   private:
+    /** Events the ring retains (<= capacity). */
+    std::size_t
+    retained() const
+    {
+        return count_ < ring_.size() ? static_cast<std::size_t>(count_)
+                                     : ring_.size();
+    }
+
     void
     push(TraceEvent e)
     {

@@ -1,5 +1,6 @@
 #include "validate/validate.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <unordered_map>
@@ -478,25 +479,42 @@ Validator::finalize(Tick now)
         return;     // stopped mid-run; in-flight state is legitimate
     for (auto &cv : coreValidators_)
         cv->finalize(now);
-    // All cores done means every miss filled and every write-buffer
-    // store completed: the MSHR files must have drained.
+    // All cores done means every demand miss filled and every
+    // write-buffer store completed. Only a software prefetch's miss
+    // may still be in flight: the core retires a prefetch without
+    // waiting, so nobody waits on its entry, and at the L2 of a
+    // two-level node the one waiter is the line fetch of such an L1
+    // entry. Every other entry must have drained, and none may be
+    // older than the leak audit allows.
     for (std::size_t i = 0; i < hiers_.size(); ++i) {
+        // Lines of issued L1 entries nobody waits on.
+        std::vector<Addr> prefetching;
         const auto check = [&](const char *level,
                                const mem::MshrFile &mshrs) {
-            for (const auto &e : mshrs.snapshot())
+            for (const auto &e : mshrs.snapshot()) {
+                int waiting = e.numWaiting;
+                if (std::find(prefetching.begin(), prefetching.end(),
+                              e.lineAddr) != prefetching.end())
+                    --waiting;      // the L1's line fetch
+                if (waiting == 0 && now - e.allocTick <= kMshrTimeout) {
+                    if (e.issued)
+                        prefetching.push_back(e.lineAddr);
+                    continue;
+                }
                 recordFailure(
                     now,
                     strprintf("node %zu %s MSHR leaked at end of run: "
                               "line 0x%llx allocated at tick %llu "
-                              "(issued=%d targets=%d)",
+                              "(issued=%d targets=%d waiting=%d)",
                               i, level,
                               static_cast<unsigned long long>(e.lineAddr),
                               static_cast<unsigned long long>(e.allocTick),
-                              e.issued, e.numTargets));
+                              e.issued, e.numTargets, e.numWaiting));
+            }
         };
-        check("L2", hiers_[i]->l2().mshrs());
         if (!hiers_[i]->singleLevel())
             check("L1", hiers_[i]->l1().mshrs());
+        check("L2", hiers_[i]->l2().mshrs());
     }
     auditDirectory(now);
     auditInclusion(now);

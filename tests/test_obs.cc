@@ -142,12 +142,15 @@ TEST(Tracer, KeptSpansSurviveRingWrap)
 {
     // A kept span recorded first is not the oldest ring event: it is
     // exported after the ring wraps, and it is not counted as dropped.
+    // The counts agree with the dump: 5 exported, 11 recorded.
     const std::string path = "obs_test_kept_trace.json";
     obs::Tracer tracer(4);
     tracer.keepSpan(0, 5, -2, "kept");
     for (int i = 0; i < 10; ++i)
         tracer.record(i, 0, "e");
     EXPECT_EQ(tracer.dropped(), 6u);
+    EXPECT_EQ(tracer.size(), 5u);
+    EXPECT_EQ(tracer.recorded(), 11u);
     ASSERT_TRUE(tracer.dumpChromeJson(path));
     const std::string json = readFile(path);
     std::remove(path.c_str());

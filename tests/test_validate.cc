@@ -243,6 +243,92 @@ TEST(Validate, LeakedPooledContinuationCaught)
     EXPECT_EQ(Continuation::poolCounters().blocksInUse, before + 1);
 }
 
+/** Prefetch @p lines consecutive lines from @p base and halt at once:
+ *  the core retires each prefetch without waiting for its miss, so it
+ *  is done while the misses are still in flight. */
+Program
+prefetchThenHaltProgram(int lines, Addr base)
+{
+    AsmBuilder b("prefetch-halt");
+    b.iLoadImm(1, static_cast<std::int64_t>(base));
+    for (int l = 0; l < lines; ++l) {
+        kisa::Instr pf;
+        pf.op = kisa::Op::Prefetch;
+        pf.ra = 1;
+        pf.imm = 64 * l;
+        b.emit(pf);
+    }
+    b.halt();
+    return b.finish();
+}
+
+TEST(Validate, PrefetchInFlightAtHaltIsNotALeak)
+{
+    // On a two-level node (the L1 entry and the L2 entry holding its
+    // line fetch) and on a single-level one, in both step modes: the
+    // end-of-run check accepts the in-flight prefetches, and the run
+    // ends on the same cycle with validation off.
+    for (const bool single : {false, true}) {
+        for (const bool skip : {true, false}) {
+            sys::RunResult results[2];
+            for (const bool validate : {false, true}) {
+                kisa::MemoryImage image;
+                std::vector<Program> ps;
+                ps.push_back(prefetchThenHaltProgram(2, 0x100000));
+                auto cfg =
+                    single ? sys::exemplarConfig() : sys::baseConfig();
+                cfg.validate = validate;
+                cfg.validateFailFast = false;
+                cfg.skipAhead = skip;
+                sys::System s(cfg, std::move(ps), image);
+                results[validate] = s.run();
+                EXPECT_EQ(s.hierarchy(0).l2().mshrs().occupancy(), 2);
+                if (!single) {
+                    EXPECT_EQ(s.hierarchy(0).l1().mshrs().occupancy(), 2);
+                }
+                if (validate) {
+                    EXPECT_TRUE(s.validator()->failures().empty())
+                        << s.validator()->report();
+                }
+            }
+            EXPECT_EQ(results[0].cycles, results[1].cycles);
+        }
+    }
+}
+
+TEST(Validate, AwaitedOrStaleMshrAtEndOfRunCaught)
+{
+    // What the end-of-run check still flags: an L1 entry a target waits
+    // on, an L2 entry a target waits on with no prefetching L1 entry
+    // above it, and an entry nobody waits on that is older than the
+    // leak audit allows.
+    enum Case { AwaitedL1, AwaitedL2, Stale };
+    for (const Case c : {AwaitedL1, AwaitedL2, Stale}) {
+        kisa::MemoryImage image;
+        std::vector<Program> ps;
+        ps.push_back(loopProgram(100, 0x100000));
+        sys::System s(validatedConfig(), std::move(ps), image);
+        s.run();
+        ASSERT_TRUE(s.validator()->failures().empty());
+        Tick end = s.now();
+        auto &hier = s.hierarchy(0);
+        if (c == AwaitedL1)
+            hier.l1().leakMshrForTest(end, 0x700000, [](Tick) {});
+        else if (c == AwaitedL2)
+            hier.l2().leakMshrForTest(end, 0x700000, [](Tick) {});
+        else
+            hier.l2().leakMshrForTest(end, 0x700000);
+        if (c == Stale)
+            end += 3'000'000;
+        s.validator()->finalize(end);
+        ASSERT_FALSE(s.validator()->failures().empty()) << int(c);
+        EXPECT_NE(s.validator()->failures()[0].what.find(
+                      "leaked at end of run"),
+                  std::string::npos)
+            << s.validator()->report();
+    }
+}
+
 TEST(Validate, StaleSharerBitCaught)
 {
     kisa::MemoryImage image;
