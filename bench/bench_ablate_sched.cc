@@ -10,57 +10,26 @@
 
 #include "bench_common.hh"
 
-#include "codegen/codegen.hh"
-#include "common/logging.hh"
 #include "transform/pipeline.hh"
-
-namespace
-{
-
-using namespace mpc;
-
-Tick
-runVariant(const workloads::Workload &w, bool transform, bool schedule)
-{
-    ir::Kernel kernel = w.kernel.clone();
-    codegen::CodegenOptions options;
-    options.clusteredSchedule = schedule;
-    const auto config = harness::scaleConfig(sys::baseConfig(), w);
-    if (transform) {
-        const transform::DriverParams params =
-            harness::makeDriverParams(w, kernel, config, 1, 16);
-        // Through the pass factory, like the harness and mpclust.
-        transform::Pipeline pipeline;
-        std::string error;
-        if (!transform::Pipeline::parse(
-                transform::pipelineSpecFromParams(params), pipeline,
-                error))
-            fatal("bad pipeline spec: %s", error.c_str());
-        const auto report = pipeline.run(kernel, params);
-        for (int id : report.leadingRefIds)
-            options.leadingRefs.insert(static_cast<std::uint32_t>(id));
-    }
-    kisa::MemoryImage image;
-    w.init(image);
-    sys::System system(config, {codegen::lower(kernel, options)}, image);
-    return system.run().cycles;
-}
-
-} // namespace
 
 int
 main()
 {
+    using namespace mpc;
     const auto size = bench::scaleFromEnv();
     std::printf("=== A2: transformation vs scheduling ablation "
                 "(uniprocessor) ===\n\n");
 
     static constexpr const char *apps[] = {"mp3d", "lu", "erlebacher"};
-    // Variant grid (transform, schedule) per app; all 12 sims are
-    // independent, so the whole grid goes through the pool at once.
-    static constexpr std::pair<bool, bool> variants[] = {
-        {false, false}, {false, true}, {true, false}, {true, true}};
-    constexpr std::size_t nvar = std::size(variants);
+    // The variants as runs: the base, the `schedule` pass alone, the
+    // default spec's loop passes, and both (the clustered run, whose
+    // spec ends in `schedule`). All 12 sims are independent, so the
+    // whole grid goes through the pool at once.
+    constexpr std::size_t nvar = 4;
+    std::vector<harness::RunSpec> variants(nvar);
+    variants[1].pipeline = "schedule";
+    variants[2].pipeline = transform::defaultPipelineSpec();
+    variants[3].clustered = true;
 
     std::vector<workloads::Workload> loads;
     for (const char *name : apps)
@@ -69,9 +38,10 @@ main()
     std::vector<std::function<void()>> tasks;
     for (std::size_t a = 0; a < std::size(apps); ++a)
         for (std::size_t v = 0; v < nvar; ++v)
-            tasks.push_back([&loads, &cycles, a, v] {
-                cycles[a * nvar + v] = runVariant(
-                    loads[a], variants[v].first, variants[v].second);
+            tasks.push_back([&loads, &cycles, &variants, a, v] {
+                cycles[a * nvar + v] =
+                    harness::runWorkload(loads[a], variants[v])
+                        .result.cycles;
             });
     std::fprintf(stderr, "running %zu variants in parallel...\n",
                  tasks.size());

@@ -19,6 +19,8 @@
 #include "bench_common.hh"
 
 #include "codegen/codegen.hh"
+#include "common/logging.hh"
+#include "transform/pipeline.hh"
 #include "transform/transforms.hh"
 
 namespace
@@ -60,13 +62,10 @@ struct Row
 };
 
 Row
-simulate(const char *label, const Kernel &k, bool clustered_sched,
-         std::uint64_t l2_bytes)
+simulate(const char *label, const Kernel &k, std::uint64_t l2_bytes)
 {
-    codegen::CodegenOptions options;
-    options.clusteredSchedule = clustered_sched;
     std::vector<kisa::Program> programs;
-    programs.push_back(codegen::lower(k, options));
+    programs.push_back(codegen::lower(k));
     kisa::MemoryImage mem;
     sys::System system(sys::baseConfig(l2_bytes), std::move(programs),
                        mem);
@@ -92,7 +91,7 @@ main()
 
     // (a) row-wise base.
     results.push_back(
-        simulate("(a) row-wise", traversal(rows, cols), false, l2));
+        simulate("(a) row-wise", traversal(rows, cols), l2));
 
     // (b) interchange: column-wise, every access a new line, and the
     // matrix exceeds the cache, so lines are evicted before reuse.
@@ -101,7 +100,7 @@ main()
         const bool ok = transform::interchange(k, *k.body[0]);
         if (ok)
             results.push_back(
-                simulate("(b) interchange", k, false, l2));
+                simulate("(b) interchange", k, l2));
     }
 
     // (c) strip-mine + interchange, strip = lp = 10.
@@ -110,15 +109,20 @@ main()
         transform::stripMine(k, *k.body[0], 10);
         transform::interchange(k, *k.body[0]->body[0]);
         results.push_back(
-            simulate("(c) strip+interchange", k, false, l2));
+            simulate("(c) strip+interchange", k, l2));
     }
 
     // (d) unroll-and-jam by lp = 10.
     {
         Kernel k = traversal(rows, cols);
         transform::unrollAndJam(k, *k.body[0], 10);
-        results.push_back(
-            simulate("(d) unroll-and-jam", k, true, l2));
+        // With no nest analysis behind it, the schedule packs every load.
+        transform::Pipeline schedule;
+        std::string error;
+        if (!transform::Pipeline::parse("schedule", schedule, error))
+            fatal("bad pipeline spec: %s", error.c_str());
+        schedule.run(k, transform::DriverParams{});
+        results.push_back(simulate("(d) unroll-and-jam", k, l2));
     }
 
     std::printf("=== E0 / Figures 1-2: matrix traversal, %lld x %lld "

@@ -10,73 +10,36 @@
 
 #include "bench_common.hh"
 
-#include "codegen/codegen.hh"
-#include "common/logging.hh"
 #include "transform/pipeline.hh"
-
-namespace
-{
-
-using namespace mpc;
-
-transform::Pipeline
-parsePipeline(const std::string &spec)
-{
-    transform::Pipeline pipeline;
-    std::string error;
-    if (!transform::Pipeline::parse(spec, pipeline, error))
-        fatal("bad pipeline spec: %s", error.c_str());
-    return pipeline;
-}
-
-Tick
-runVariant(const workloads::Workload &w, bool cluster, bool prefetch,
-           int distance)
-{
-    ir::Kernel kernel = w.kernel.clone();
-    codegen::CodegenOptions options;
-    options.clusteredSchedule = cluster;
-    const auto config = harness::scaleConfig(sys::baseConfig(), w);
-    if (cluster) {
-        const transform::DriverParams params =
-            harness::makeDriverParams(w, kernel, config, 1, 16);
-        const auto report =
-            parsePipeline(transform::pipelineSpecFromParams(params))
-                .run(kernel, params);
-        for (int id : report.leadingRefIds)
-            options.leadingRefs.insert(static_cast<std::uint32_t>(id));
-    }
-    if (prefetch) {
-        // A second one-pass pipeline composed after the first: the
-        // clustered report (and its leading refs) stays authoritative.
-        transform::DriverParams prefetch_params;
-        prefetch_params.prefetchDistanceLines = distance;
-        (void)parsePipeline("prefetch").run(kernel, prefetch_params);
-    }
-
-    kisa::MemoryImage image;
-    w.init(image);
-    sys::System system(config, {codegen::lower(kernel, options)}, image);
-    return system.run().cycles;
-}
-
-} // namespace
 
 int
 main()
 {
+    using namespace mpc;
     const auto size = bench::scaleFromEnv();
     const int distance = 4;   // lines ahead
     std::printf("=== A5: prefetching vs clustering (uniprocessor, "
                 "prefetch distance %d lines) ===\n\n",
                 distance);
+    const std::string prefetch = strprintf("prefetch(dist=%d)", distance);
+    // The combination prefetches after the clustered run's schedule
+    // pass, so the schedule's leading refs are the clustered kernel's.
+    const std::string both_spec =
+        transform::pipelineSpecFromParams(transform::DriverParams{}) +
+        "," + prefetch;
     for (const char *name : {"erlebacher", "lu", "ocean", "em3d"}) {
         const auto w = workloads::makeByName(name, size);
         std::fprintf(stderr, "running %s variants...\n", name);
-        const Tick none = runVariant(w, false, false, distance);
-        const Tick pf = runVariant(w, false, true, distance);
-        const Tick cl = runVariant(w, true, false, distance);
-        const Tick both = runVariant(w, true, true, distance);
+        auto run = [&w](bool clustered, const std::string &pipeline) {
+            harness::RunSpec spec;
+            spec.clustered = clustered;
+            spec.pipeline = pipeline;
+            return harness::runWorkload(w, spec).result.cycles;
+        };
+        const Tick none = run(false, "");
+        const Tick pf = run(false, prefetch);
+        const Tick cl = run(true, "");
+        const Tick both = run(false, both_spec);
         auto pct = [none](Tick t) {
             return (1.0 - double(t) / double(none)) * 100.0;
         };

@@ -123,8 +123,8 @@ defUse(const Instr &in)
 class Lowerer
 {
   public:
-    Lowerer(const Kernel &kernel, const CodegenOptions &options)
-        : kernel_(kernel), opts_(options), builder_(kernel.name)
+    Lowerer(const Kernel &kernel, bool schedule)
+        : kernel_(kernel), schedule_(schedule), builder_(kernel.name)
     {}
 
     kisa::Program
@@ -207,7 +207,7 @@ class Lowerer
         bool isTemp = false;
     };
 
-    // In clustered-schedule mode, temps within a region are allocated
+    // In a scheduled kernel, temps within a region are allocated
     // fresh-first so register reuse does not impose WAR/WAW false
     // dependences on the list scheduler (a real compiler allocates
     // registers after scheduling); the pool falls back to reuse when
@@ -215,8 +215,7 @@ class Lowerer
     Reg
     allocTempInt()
     {
-        if (opts_.clusteredSchedule &&
-            intTempNext_ < kisa::numIntRegs)
+        if (schedule_ && intTempNext_ < kisa::numIntRegs)
             return static_cast<Reg>(intTempNext_++);
         if (!intFree_.empty()) {
             const Reg r = intFree_.back();
@@ -231,7 +230,7 @@ class Lowerer
     Reg
     allocTempFp()
     {
-        if (opts_.clusteredSchedule && fpTempNext_ < kisa::numFpRegs)
+        if (schedule_ && fpTempNext_ < kisa::numFpRegs)
             return static_cast<Reg>(fpTempNext_++);
         if (!fpFree_.empty()) {
             const Reg r = fpFree_.back();
@@ -266,13 +265,13 @@ class Lowerer
     void
     emit(Instr in, std::nullptr_t) = delete;
 
-    /** Emit the region buffer, list-scheduling it in clustered mode. */
+    /** Emit the region buffer, list-scheduled in a scheduled kernel. */
     void
     flushRegion()
     {
         if (region_.empty())
             return;
-        if (!opts_.clusteredSchedule || region_.size() < 3) {
+        if (!schedule_ || region_.size() < 3) {
             for (const auto &in : region_)
                 builder_.emit(in);
         } else {
@@ -280,7 +279,7 @@ class Lowerer
         }
         region_.clear();
         aliasClass_.clear();
-        if (opts_.clusteredSchedule) {
+        if (schedule_) {
             // Region boundary: the fresh-temp window restarts.
             intTempNext_ = tempBaseInt_;
             fpTempNext_ = tempBaseFp_;
@@ -350,8 +349,9 @@ class Lowerer
         // the backward key propagation.
         const int big = static_cast<int>(n);
         auto is_leading = [this](size_t i) {
-            return opts_.leadingRefs.empty() ||
-                   opts_.leadingRefs.count(region_[i].refId) != 0;
+            const std::set<int> &leading = kernel_.leadingRefIds;
+            return leading.empty() ||
+                   leading.count(static_cast<int>(region_[i].refId)) != 0;
         };
         std::vector<int> key(n);
         for (size_t i = 0; i < n; ++i) {
@@ -1061,7 +1061,7 @@ class Lowerer
     }
 
     const Kernel &kernel_;
-    CodegenOptions opts_;
+    bool schedule_;
     AsmBuilder builder_;
 
     std::vector<Instr> region_;
@@ -1088,11 +1088,11 @@ class Lowerer
 } // namespace
 
 kisa::Program
-lower(const ir::Kernel &kernel, const CodegenOptions &options)
+lower(const ir::Kernel &kernel)
 {
     for (const auto &array : kernel.arrays)
         MPC_ASSERT(array.base != 0, "layoutArrays before lowering");
-    Lowerer lowerer(kernel, options);
+    Lowerer lowerer(kernel, kernel.schedule);
     return lowerer.lower();
 }
 
@@ -1101,16 +1101,18 @@ lowerForCores(const ir::Kernel &kernel, int num_procs,
               bool clustered_schedule,
               const std::set<std::uint32_t> &leading_refs)
 {
+    const std::set<int> leading(leading_refs.begin(), leading_refs.end());
+    MPC_ASSERT(clustered_schedule == kernel.schedule &&
+                   leading == kernel.leadingRefIds,
+               "arguments disagree with the kernel's schedule marks");
     return std::vector<kisa::Program>(
-        static_cast<std::size_t>(num_procs),
-        lower(kernel, {clustered_schedule, leading_refs}));
+        static_cast<std::size_t>(num_procs), lower(kernel));
 }
 
 int
 loweredBodySize(const ir::Kernel &kernel, const ir::Stmt &loop)
 {
-    CodegenOptions options;
-    Lowerer lowerer(kernel, options);
+    Lowerer lowerer(kernel, false);
     return lowerer.measure(loop);
 }
 

@@ -4,11 +4,14 @@
  *
  * Beyond straightforward lowering (bottom-tested loops, displacement
  * folding for unrolled copies, per-array base registers), the code
- * generator implements the paper's Section 3.3 local scheduling: in
- * `clusteredSchedule` mode, straight-line regions are list-scheduled
- * with loads hoisted as early as their dependences allow and stores
- * sunk late, packing independent miss references together within the
- * instruction window (the balanced-scheduling effect).
+ * generator implements the paper's Section 3.3 local scheduling for a
+ * kernel the `schedule` pass marked (ir::Kernel::schedule): its
+ * straight-line regions are list-scheduled with the leading loads
+ * (Kernel::leadingRefIds, or every load when that set is empty)
+ * hoisted as early as their dependences allow and stores sunk late,
+ * packing independent miss references together within the
+ * instruction window (the balanced-scheduling effect). lower() takes
+ * no options, so the pipeline's verifier runs what the simulator runs.
  *
  * For multiprocessor runs, one lowered program serves every core: its
  * prologue binds `__procid`/`__nprocs` with the ProcId and NumProcs
@@ -30,36 +33,25 @@
 namespace mpc::codegen
 {
 
-struct CodegenOptions
-{
-    /** Pack independent miss loads together (Section 3.3 scheduling). */
-    bool clusteredSchedule = false;
-
-    /**
-     * refIds of leading references (from the analysis): the scheduler
-     * packs these loads first, since only they start misses. Empty =
-     * treat every load as a potential miss.
-     */
-    std::set<std::uint32_t> leadingRefs;
-};
-
 /**
- * Lower @p kernel to a KISA program. Arrays must be laid out
- * (ir::layoutArrays) first.
+ * Lower @p kernel to a KISA program, list-scheduled when the kernel is
+ * marked for it. Arrays must be laid out (ir::layoutArrays) first.
  */
-kisa::Program lower(const ir::Kernel &kernel,
-                    const CodegenOptions &options = {});
+kisa::Program lower(const ir::Kernel &kernel);
 
 // perfbench's driver still calls this; it goes with the exec-tier
-// shims (kisa/exec_threaded.hh). lower() once serves every core.
+// shims (kisa/exec_threaded.hh). lower() once serves every core. The
+// kernel's marks decide the schedule; the last two arguments must
+// agree with them.
 std::vector<kisa::Program> lowerForCores(
     const ir::Kernel &kernel, int num_procs, bool clustered_schedule,
     const std::set<std::uint32_t> &leading_refs = {});
 
 /**
  * Static instruction count of one iteration of @p loop when lowered —
- * the `i` parameter of the analysis (Equation 1). Works on loops whose
- * bounds reference not-yet-bound outer variables.
+ * the `i` parameter of the analysis (Equation 1), unscheduled whatever
+ * the kernel's marks. Works on loops whose bounds reference
+ * not-yet-bound outer variables.
  */
 int loweredBodySize(const ir::Kernel &kernel, const ir::Stmt &loop);
 

@@ -8,6 +8,7 @@
 #include "harness/parallel.hh"
 #include "harness/report.hh"
 #include "transform/pipeline.hh"
+#include "transform/transforms.hh"
 
 namespace mpc::harness
 {
@@ -19,6 +20,10 @@ namespace
 constexpr const char *kFullTail =
     "postlude-interchange,scalar-replace,inner-unroll";
 
+/** Every candidate ends in the Section 3.3 schedule, as the hand spec
+ *  does; a prefetch candidate schedules after its prefetches. */
+constexpr const char *kScheduleTail = ",schedule";
+
 } // namespace
 
 std::vector<std::string>
@@ -26,14 +31,16 @@ candidateSpecs(const transform::DriverParams &params)
 {
     std::vector<std::string> specs;
     std::set<std::string> seen;
-    const auto add = [&](const std::string &spec) {
+    const auto add = [&](const std::string &loop_passes) {
+        const std::string spec = loop_passes + kScheduleTail;
         if (seen.insert(spec).second)
             specs.push_back(spec);
     };
     // The hand-tuned default first: it is the baseline every candidate
     // must beat and is exempt from model pruning.
     const std::string hand = transform::pipelineSpecFromParams(params);
-    add(hand);
+    const std::string hand_loops = hand.substr(0, hand.rfind(kScheduleTail));
+    add(hand_loops);
     // Cluster-degree sweep (the unroll-and-jam cap), with and without
     // software prefetching behind it.
     for (const int degree : {2, 4, 8, 16}) {
@@ -49,7 +56,7 @@ candidateSpecs(const transform::DriverParams &params)
                       factor));
     // Prefetch-distance sweep on top of the hand spec.
     for (const int dist : {2, 8})
-        add(hand + strprintf(",prefetch(dist=%d)", dist));
+        add(hand_loops + strprintf(",prefetch(dist=%d)", dist));
     // The minimal pipeline: clustering alone.
     add("fuse,cluster");
     return specs;
@@ -159,15 +166,9 @@ tune(const workloads::Workload &workload, const TuneOptions &opts)
     // kernel exactly as runWorkload will, so model predictions and the
     // functional screen see the kernel the simulation runs.
     ir::Kernel kernel = workload.kernel.clone();
-    if (procs > 1) {
-        transform::Pipeline partition;
-        std::string error;
-        if (!transform::Pipeline::parse("partition", partition, error))
-            fatal("mpctune: %s", error.c_str());
-        partition.verifyMode = transform::VerifyMode::Off;
-        transform::DriverParams partition_params;
-        partition.run(kernel, partition_params);
-    }
+    ir::assignRefIds(kernel);
+    if (procs > 1)
+        transform::partitionParallelLoops(kernel);
 
     // One profile serves every candidate: the miss rates are measured
     // on the UNtransformed kernel, so they are candidate-independent.

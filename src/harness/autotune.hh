@@ -99,7 +99,8 @@ TuneReport tune(const workloads::Workload &workload,
 /**
  * The candidate specs the tuner searches: the hand-tuned default
  * first, then cluster-degree, prefetch-distance, and inner-unroll
- * variations of it. Deduplicated, deterministic order.
+ * variations of it. Each ends in `schedule`, after any prefetch.
+ * Deduplicated, deterministic order.
  */
 std::vector<std::string> candidateSpecs(
     const transform::DriverParams &params);

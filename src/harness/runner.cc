@@ -95,6 +95,19 @@ makePipeline(const std::string &spec, const workloads::Workload &workload,
     return pipeline;
 }
 
+/** Does @p spec name the partition pass? False for "" and for a bad
+ *  spec, which makePipeline then reports. */
+bool
+namesPartition(const std::string &spec)
+{
+    transform::Pipeline parsed;
+    std::string error;
+    if (!transform::Pipeline::parse(spec, parsed, error))
+        return false;
+    const std::vector<std::string> names = parsed.passNames();
+    return std::count(names.begin(), names.end(), "partition") > 0;
+}
+
 } // namespace
 
 transform::DriverParams
@@ -105,10 +118,14 @@ makeDriverParams(const workloads::Workload &workload,
 {
     // Profile P_m on the base binary run on one core, with the target
     // cache geometry (Section 3.2.2: "measured through cache
-    // simulation or profiling").
+    // simulation or profiling"). At P > 1 that is the partitioned
+    // kernel, which the run's pipeline starts with.
+    ir::Kernel base = kernel.clone();
+    if (procs > 1)
+        transform::partitionParallelLoops(base);
     kisa::MemoryImage scratch;
     workload.init(scratch);
-    const kisa::Program base_prog = codegen::lower(kernel);
+    const kisa::Program base_prog = codegen::lower(base);
     const auto &geometry =
         config.hier.singleLevel ? config.hier.l1 : config.hier.l2;
     const CacheProfile profile =
@@ -154,43 +171,35 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
                               spec.clustered, spec.procs);
 
     ir::Kernel kernel = workload.kernel.clone();
-    const bool transforming = spec.clustered || !spec.pipeline.empty();
+    // makeDriverParams profiles a clone, so the refIds its miss rates
+    // are keyed by must be the ones the pipeline keeps.
+    ir::assignRefIds(kernel);
 
-    // Partition parallel loops per processor at the IR level before any
-    // transformation, so unroll-and-jam operates on each processor's
-    // own range (balanced chunks, per-processor postludes). Partitioning
-    // is itself a registered pass run as a one-pass pipeline, so it gets
-    // the same per-pass verification as the main transformation.
-    transform::PipelineReport partition_report;
-    if (spec.procs > 1) {
-        transform::Pipeline partition =
-            makePipeline("partition", workload, spec);
-        transform::DriverParams partition_params;
-        partition_report = partition.run(kernel, partition_params);
+    // One pipeline per run, so that each program it checks executes
+    // once. At P > 1 the partition pass leads, unless the spec places
+    // it, so that unroll-and-jam operates on each processor's own
+    // range (balanced chunks, per-processor postludes).
+    transform::DriverParams params;
+    std::string pipeline_spec = spec.pipeline;
+    if (spec.clustered || !spec.pipeline.empty()) {
+        params = makeDriverParams(workload, kernel, config, spec.procs,
+                                  spec.maxUnroll);
+        if (pipeline_spec.empty())
+            pipeline_spec = transform::pipelineSpecFromParams(params);
     }
-
-    if (transforming) {
-        const transform::DriverParams params = makeDriverParams(
-            workload, kernel, config, spec.procs, spec.maxUnroll);
-        const std::string spec_string =
-            spec.pipeline.empty()
-                ? transform::pipelineSpecFromParams(params)
-                : spec.pipeline;
-        transform::Pipeline pipeline =
-            makePipeline(spec_string, workload, spec);
-        out.report = pipeline.run(kernel, params);
-    }
+    if (spec.procs > 1 && !namesPartition(pipeline_spec))
+        pipeline_spec = pipeline_spec.empty()
+                            ? "partition"
+                            : "partition," + pipeline_spec;
+    if (!pipeline_spec.empty())
+        out.report =
+            makePipeline(pipeline_spec, workload, spec).run(kernel, params);
 
     out.kernelText = kernel.toString();
 
     const int procs = std::max(spec.procs, 1);
-
-    codegen::CodegenOptions options;
-    options.clusteredSchedule = transforming;
-    for (int ref_id : out.report.leadingRefIds)
-        options.leadingRefs.insert(static_cast<std::uint32_t>(ref_id));
     std::vector<kisa::Program> programs(static_cast<size_t>(procs),
-                                        codegen::lower(kernel, options));
+                                        codegen::lower(kernel));
 
     kisa::MemoryImage image;
     workload.init(image);
@@ -204,14 +213,12 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
 
     // Replay the per-pass wall times as spans on a dedicated compiler
     // track (microsecond pseudo-ticks starting at 0), so an MPC_TRACE
-    // timeline shows what the transformation pipelines did before the
-    // simulated execution: the partition pipeline, then the main one,
-    // each check where it ran. Names come from the registry so the
-    // tracer only ever sees process-lifetime strings.
+    // timeline shows what the transformation pipeline did before the
+    // simulated execution, each check where it ran. Names come from the
+    // registry so the tracer only ever sees process-lifetime strings.
     if (obs::Observer *observer = system.observer()) {
         if (obs::Tracer *tracer = observer->tracer();
-            tracer != nullptr && (!partition_report.passes.empty() ||
-                                  !out.report.passes.empty())) {
+            tracer != nullptr && !out.report.passes.empty()) {
             tracer->setTrackName(kCompilerTrack, "compiler passes");
             Tick now = 0;
             auto span = [&](double ms, const char *name,
@@ -225,26 +232,19 @@ runWorkload(const workloads::Workload &workload, const RunSpec &spec)
             // Check times are 0 when verification was off. The name is
             // a string literal: the tracer keeps event-name pointers.
             const char *const verify_name = "verify/threaded";
-            for (const transform::PipelineReport *report :
-                 {&partition_report, &out.report}) {
-                if (report->refChecksumMs > 0.0)
-                    span(report->refChecksumMs, verify_name);
-                for (const auto &pass : report->passes) {
-                    span(pass.wallMs,
-                         transform::PassRegistry::instance().stableName(
-                             pass.pass),
-                         static_cast<std::uint64_t>(pass.actions),
-                         pass.skipped ? 1 : 0);
-                    if (pass.verifyMs > 0.0)
-                        span(pass.verifyMs, verify_name);
-                }
+            if (out.report.refChecksumMs > 0.0)
+                span(out.report.refChecksumMs, verify_name);
+            for (const auto &pass : out.report.passes) {
+                span(pass.wallMs,
+                     transform::PassRegistry::instance().stableName(
+                         pass.pass),
+                     static_cast<std::uint64_t>(pass.actions),
+                     pass.skipped ? 1 : 0);
+                if (pass.verifyMs > 0.0)
+                    span(pass.verifyMs, verify_name);
             }
         }
     }
-    out.report.passes.insert(
-        out.report.passes.begin(),
-        std::make_move_iterator(partition_report.passes.begin()),
-        std::make_move_iterator(partition_report.passes.end()));
 
     out.result = system.run(spec.maxCycles);
     return out;

@@ -23,15 +23,21 @@ struct RunSpec
 {
     sys::SystemConfig config = sys::baseConfig();
     int procs = 1;
-    bool clustered = false;     ///< apply the driver + scheduler
+    /**
+     * Transform with pipelineSpecFromParams(): the clustering passes,
+     * then `schedule`, the Section 3.3 list schedule. The spec alone
+     * decides whether the program is scheduled.
+     */
+    bool clustered = false;
     int maxUnroll = 16;         ///< U
     Tick maxCycles = Tick(1) << 36;
 
     /**
-     * Transformation pipeline spec ("cluster,prefetch"); empty means
-     * the default driver pipeline when @ref clustered is set. A
+     * Transformation pipeline spec ("cluster,prefetch,schedule"); empty
+     * means the default driver pipeline when @ref clustered is set. A
      * non-empty spec implies a transforming run even when @ref
-     * clustered is false.
+     * clustered is false; without `schedule` it runs unscheduled. At
+     * P > 1 the partition pass leads unless the spec places it.
      */
     std::string pipeline;
 
@@ -80,7 +86,8 @@ sys::SystemConfig scaleConfig(sys::SystemConfig config,
  * @p config: machine knobs (lp from the MSHR count, window size, line
  * bytes) plus the profiled per-reference miss rates Section 3.2.2
  * calls for — measured by lowering the UNtransformed @p kernel
- * (already partitioned when @p procs > 1) once and executing it
+ * (a partitioned clone of it when @p procs > 1, as the run's pipeline
+ * starts with the partition pass) once and executing it
  * against the target cache geometry on one core and, for the
  * run-matched multiprocessor profile, on @p procs cores when
  * @p procs > 1. Candidate-independent, so the autotuner profiles

@@ -358,6 +358,8 @@ Kernel::clone() const
     copy.arrays = arrays;   // values; remap pointers below
     copy.scalars = scalars;
     copy.partitioned = partitioned;
+    copy.schedule = schedule;
+    copy.leadingRefIds = leadingRefIds;
     for (const auto &stmt : body)
         copy.body.push_back(stmt->clone());
     // Remap array pointers in the cloned tree to the cloned arrays.

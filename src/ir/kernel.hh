@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -212,6 +213,13 @@ struct Kernel
     /** Set by transform::partitionParallelLoops, which runs once per
      *  kernel. Copied by clone(); toString() does not print it. */
     bool partitioned = false;
+
+    /** Set by the schedule pass: codegen::lower list-schedules each
+     *  straight-line region (Section 3.3), packing the loads in
+     *  leadingRefIds first (every load when it is empty). Copied by
+     *  clone(); toString() prints neither. */
+    bool schedule = false;
+    std::set<int> leadingRefIds;
 
     /** Declare an array; returned pointer stays valid. */
     Array *addArray(std::string name, ScalType elem,

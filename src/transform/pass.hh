@@ -117,15 +117,15 @@ struct VerifyFailure
 
 /**
  * Structured result of a pipeline run: what every pass did, one
- * NestReport per live nest, and the leadingRefIds that feed the codegen
- * scheduler's miss-first packing.
+ * NestReport per live nest, and the leadingRefIds of the final kernel.
  */
 struct PipelineReport
 {
     std::vector<NestReport> nests;
 
-    /** refIds of leading references in the final transformed kernel
-     *  (for the codegen scheduler's miss-first packing). */
+    /** refIds of leading references in the final transformed kernel:
+     *  the set a `schedule` pass at the end of the spec marks for the
+     *  codegen scheduler's miss-first packing. */
     std::vector<int> leadingRefIds;
 
     std::vector<PassReport> passes;
@@ -218,6 +218,12 @@ analysis::AnalysisParams toAnalysisParams(const DriverParams &params);
  * all passes of a pipeline run.
  */
 std::vector<analysis::NestPath> liveNests(ir::Kernel &kernel);
+
+/** Analyze each row's nest as @p kernel stands now, in row order (row
+ *  k owns the k-th live nest). The pipeline's finalize step and the
+ *  schedule pass take the leading refs from these. */
+std::vector<analysis::LoopAnalysis> analyzeRows(ir::Kernel &kernel,
+                                                const PassContext &ctx);
 
 } // namespace mpc::transform
 

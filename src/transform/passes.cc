@@ -633,6 +633,31 @@ class PrefetchPass : public Pass
     }
 };
 
+// --------------------------------------------------------------------
+// schedule (clustering-aware list schedule, Section 3.3)
+// --------------------------------------------------------------------
+
+/** Marks the kernel for codegen's list schedule, with the leading refs
+ *  of every row's nest as it stands now: none, so every load leads,
+ *  when no loop pass made rows. */
+class SchedulePass : public Pass
+{
+  public:
+    const char *name() const override { return "schedule"; }
+
+    void
+    run(Kernel &kernel, PassContext &ctx, PassReport &pr) const override
+    {
+        kernel.schedule = true;
+        kernel.leadingRefIds.clear();
+        for (const LoopAnalysis &nest : analyzeRows(kernel, ctx))
+            for (const auto &ref : nest.refs)
+                if (ref.leading && ref.refId >= 0)
+                    kernel.leadingRefIds.insert(ref.refId);
+        pr.actions = 1;
+    }
+};
+
 } // namespace
 
 void
@@ -645,6 +670,7 @@ registerBuiltinPasses(PassRegistry &registry)
     registry.add(std::make_unique<ScalarReplacePass>());
     registry.add(std::make_unique<InnerUnrollPass>());
     registry.add(std::make_unique<PrefetchPass>());
+    registry.add(std::make_unique<SchedulePass>());
 }
 
 } // namespace mpc::transform

@@ -43,6 +43,18 @@ liveNests(Kernel &kernel)
     return live;
 }
 
+std::vector<analysis::LoopAnalysis>
+analyzeRows(Kernel &kernel, const PassContext &ctx)
+{
+    std::vector<analysis::LoopAnalysis> out;
+    if (ctx.rows.empty())
+        return out;
+    const auto live = liveNests(kernel);
+    for (size_t k = 0; k < ctx.rows.size() && k < live.size(); ++k)
+        out.push_back(analysis::analyzeInnerLoop(kernel, live[k], ctx.ap));
+    return out;
+}
+
 // --- reports ---------------------------------------------------------
 
 std::string
@@ -240,7 +252,7 @@ pipelineSpecFromParams(const DriverParams &params)
     static const DriverParams defaults;
     std::string spec;
     for (const std::string &pass :
-         splitTopLevel(defaultPipelineSpec(), ',')) {
+         splitTopLevel(defaultPipelineSpec() + ",schedule", ',')) {
         std::string knobs;
         for (const KnobDef &def : kKnobDefs) {
             if (pass != def.pass ||
@@ -655,17 +667,12 @@ Pipeline::run(ir::Kernel &kernel, const DriverParams &params) const
         // Finalize: post-transformation f and the leading refIds of
         // every row's final nest, in row order (exactly what the old
         // driver computed at the end of each episode).
-        if (!ctx.rows.empty()) {
-            auto live = liveNests(kernel);
-            for (size_t k = 0; k < ctx.rows.size() && k < live.size();
-                 ++k) {
-                const analysis::LoopAnalysis final_la =
-                    analysis::analyzeInnerLoop(kernel, live[k], ctx.ap);
-                ctx.rows[k].report.fAfter = final_la.f;
-                for (const auto &ref : final_la.refs)
-                    if (ref.leading && ref.refId >= 0)
-                        report.leadingRefIds.push_back(ref.refId);
-            }
+        const auto finals = analyzeRows(kernel, ctx);
+        for (size_t k = 0; k < finals.size(); ++k) {
+            ctx.rows[k].report.fAfter = finals[k].f;
+            for (const auto &ref : finals[k].refs)
+                if (ref.leading && ref.refId >= 0)
+                    report.leadingRefIds.push_back(ref.refId);
         }
         for (auto &row : ctx.rows)
             report.nests.push_back(std::move(row.report));

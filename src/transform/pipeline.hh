@@ -8,9 +8,12 @@
  * the harness, the benches, `mpclust --pipeline=<spec>`, and the
  * mpctune autotuner all select transformation variants through one
  * factory. The spec is the only thing that chooses which passes run:
- * a variant without a pass is a spec without it. The default spec is
- * the clustering algorithm of Sections 3.2.2 and 3.3, and
- * applyClustering() runs it.
+ * a variant without a pass is a spec without it. That includes the
+ * Section 3.3 list schedule: the `schedule` pass marks the kernel, and
+ * codegen::lower() schedules only a marked kernel, so a spec without
+ * `schedule` runs unscheduled. pipelineSpecFromParams() is the
+ * clustering algorithm of Sections 3.2.2 and 3.3 (the default spec,
+ * then `schedule`), and applyClustering() runs it.
  *
  * Knob grammar: a pass name may carry per-pass knobs in parentheses,
  * e.g. "cluster(maxDegree=8),prefetch(dist=4)". Each knob maps onto
@@ -31,8 +34,9 @@
  * checker and — when the kernel is evaluable — a functional
  * equivalence check against the pre-pipeline kernel: the kernel is
  * cloned, memory is initialized (through Pipeline::initMemory or a
- * deterministic synthetic fill), the kernel is lowered and executed on
- * one core of the threaded KISA tier, and the array checksum must
+ * deterministic synthetic fill), the kernel is lowered as marked (so
+ * the check after `schedule` runs the scheduled program) and executed
+ * on one core of the threaded KISA tier, and the array checksum must
  * match the pre-pipeline checksum. Since every pass must be
  * semantics-preserving, comparing each post-pass checksum to the
  * pipeline-input checksum names the first failing pass. On failure
@@ -165,21 +169,26 @@ class Pipeline
     std::vector<PassKnob> knobs_;
 };
 
-/** The clustering algorithm of Sections 3.2.2 and 3.3 as a spec. */
+/**
+ * The loop passes of the clustering algorithm as a spec, without the
+ * `schedule` that pipelineSpecFromParams() appends: perfbench names a
+ * per-layer metric after each pass here, and BENCHMARK.json declares
+ * none for `schedule` yet.
+ */
 std::string defaultPipelineSpec();
 
 /**
- * The default spec carrying knobs for any knob-backed field of
- * @p params that differs from its default (e.g. "cluster(maxDegree=8)"
- * when maxUnroll is 8); default params render the default spec
- * exactly. parse() of the result followed by applyKnobs() reproduces
- * the knob-backed fields of @p params — the round-trip the autotuner
- * relies on.
+ * The default spec followed by `schedule`, carrying knobs for any
+ * knob-backed field of @p params that differs from its default (e.g.
+ * "cluster(maxDegree=8)" when maxUnroll is 8); default params render
+ * defaultPipelineSpec() + ",schedule" exactly. parse() of the result
+ * followed by applyKnobs() reproduces the knob-backed fields of
+ * @p params — the round-trip the autotuner relies on.
  */
 std::string pipelineSpecFromParams(const DriverParams &params);
 
 /** Run pipelineSpecFromParams(@p params) over every loop nest of
- *  @p kernel. */
+ *  @p kernel, which leaves it marked for the schedule. */
 PipelineReport applyClustering(ir::Kernel &kernel,
                                const DriverParams &params);
 

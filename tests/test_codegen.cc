@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "codegen/codegen.hh"
 #include "common/rng.hh"
 #include "ir/eval.hh"
@@ -85,9 +87,32 @@ fillArrays(const Kernel &k, kisa::MemoryImage &mem, std::uint64_t seed)
     }
 }
 
+/** The default spec's loop passes on @p k: clustered, not scheduled. */
+transform::PipelineReport
+clusterUnscheduled(Kernel &k, const transform::DriverParams &params)
+{
+    transform::Pipeline pipeline;
+    std::string error;
+    EXPECT_TRUE(transform::Pipeline::parse(transform::defaultPipelineSpec(),
+                                           pipeline, error))
+        << error;
+    return pipeline.run(k, params);
+}
+
+/** A clone of @p k marked for the Section 3.3 schedule, packing the
+ *  loads of @p leading first (every load when empty). */
+Kernel
+scheduled(const Kernel &k, std::set<int> leading = {})
+{
+    Kernel out = k.clone();
+    out.schedule = true;
+    out.leadingRefIds = std::move(leading);
+    return out;
+}
+
 /** Three-way check: IR evaluator vs interpreter on lowered code. */
 void
-expectLoweringCorrect(const Kernel &k, const CodegenOptions &options = {})
+expectLoweringCorrect(const Kernel &k)
 {
     kisa::MemoryImage m_ir, m_prog;
     fillArrays(k, m_ir, 42);
@@ -96,7 +121,7 @@ expectLoweringCorrect(const Kernel &k, const CodegenOptions &options = {})
     Evaluator ev(k, m_ir);
     ev.run();
 
-    kisa::Program program = lower(k, options);
+    kisa::Program program = lower(k);
     kisa::Interpreter interp(m_prog);
     interp.addCore(program);
     interp.run(1ull << 28);
@@ -112,9 +137,7 @@ TEST(Codegen, StencilMatchesEvaluator)
 
 TEST(Codegen, ClusteredScheduleSameSemantics)
 {
-    CodegenOptions options;
-    options.clusteredSchedule = true;
-    expectLoweringCorrect(stencilKernel(), options);
+    expectLoweringCorrect(scheduled(stencilKernel()));
 }
 
 TEST(Codegen, DisplacementFoldingUsed)
@@ -138,12 +161,10 @@ TEST(Codegen, TransformedKernelMatchesEvaluator)
     transform::DriverParams params;
     params.lp = 10;
     params.bodySize = loweredBodySize;
-    auto report = transform::applyClustering(k, params);
+    auto report = clusterUnscheduled(k, params);
     EXPECT_GT(report.nests[0].unrollDegree, 1);
     expectLoweringCorrect(k);
-    CodegenOptions clustered;
-    clustered.clusteredSchedule = true;
-    expectLoweringCorrect(k, clustered);
+    expectLoweringCorrect(scheduled(k));
 }
 
 TEST(Codegen, PointerChaseLowersAndRuns)
@@ -192,7 +213,7 @@ TEST(Codegen, PointerChaseLowersAndRuns)
     params.lp = 4;
     params.maxUnroll = 4;
     params.bodySize = loweredBodySize;
-    transform::applyClustering(k, params);
+    clusterUnscheduled(k, params);
 
     kisa::MemoryImage m_base, m_prog;
     init_chains(m_base);
@@ -323,12 +344,10 @@ TEST(Codegen, ClusteredScheduleHoistsLoads)
     transform::DriverParams params;
     params.lp = 10;
     params.bodySize = loweredBodySize;
-    transform::applyClustering(k, params);
+    clusterUnscheduled(k, params);
 
-    CodegenOptions plain, clustered;
-    clustered.clusteredSchedule = true;
-    kisa::Program p1 = lower(k, plain);
-    kisa::Program p2 = lower(k, clustered);
+    kisa::Program p1 = lower(k);
+    kisa::Program p2 = lower(scheduled(k));
     ASSERT_EQ(p1.size(), p2.size());
 
     // Measure the position of the 4th load in the main jammed body:
@@ -397,12 +416,9 @@ TEST(Codegen, LeadingRefsRestrictHoisting)
     // body packing treatment.
     Kernel k = stencilKernel(16, 24);
     ir::assignRefIds(k);
-    CodegenOptions all, none;
-    all.clusteredSchedule = true;
-    none.clusteredSchedule = true;
-    none.leadingRefs = {9999};   // nothing in the kernel matches
-    auto p_all = lower(k, all);
-    auto p_none = lower(k, none);
+    auto p_all = lower(scheduled(k));
+    // Nothing in the kernel matches refId 9999.
+    auto p_none = lower(scheduled(k, {9999}));
     auto first_load_pos = [](const kisa::Program &p) {
         for (size_t i = 0; i < p.code.size(); ++i)
             if (p.code[i].op == kisa::Op::LdF)
@@ -438,12 +454,10 @@ TEST(Codegen, EndToEndClusteringSpeedsUpSimulation)
             transform::DriverParams params;
             params.lp = 10;
             params.bodySize = loweredBodySize;
+            // Ends in the schedule pass.
             transform::applyClustering(k, params);
         }
-        CodegenOptions options;
-        options.clusteredSchedule = clustered;
-        return std::pair<Kernel, kisa::Program>(k.clone(),
-                                                lower(k, options));
+        return std::pair<Kernel, kisa::Program>(k.clone(), lower(k));
     };
 
     Tick cycles[2];

@@ -142,9 +142,7 @@ TEST_P(ExecTierWorkloads, AccessStreamsAgreeAcrossTiers)
     const Workload w = makeByName(GetParam(), tiny());
     const kisa::Program base = codegen::lower(w.kernel);
     const ir::Kernel clustered = defaultClustered(w, base);
-    codegen::CodegenOptions options;
-    options.clusteredSchedule = true;
-    const kisa::Program clust = codegen::lower(clustered, options);
+    const kisa::Program clust = codegen::lower(clustered);
 
     const auto expectAgree = [&](const char *variant,
                                  const ir::Kernel &kernel,

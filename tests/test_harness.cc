@@ -133,6 +133,29 @@ TEST(Runner, BaseRunHasNoReport)
     EXPECT_TRUE(run.report.nests.empty());
 }
 
+TEST(Runner, PartitionLeadsTheOnePipelineAtPGreaterThanOne)
+{
+    // At P > 1 the run's one pipeline starts with partition; a spec
+    // that already places it runs as written, without a duplicate.
+    workloads::SizeParams tiny;
+    tiny.scale = 1;
+    const auto w = workloads::makeLu(tiny);
+    auto pass_names = [&w](const std::string &pipeline) {
+        RunSpec spec;
+        spec.procs = 2;
+        spec.pipeline = pipeline;
+        std::vector<std::string> names;
+        for (const auto &pass : runWorkload(w, spec).report.passes)
+            names.push_back(pass.pass);
+        return names;
+    };
+    const std::vector<std::string> expected{"partition", "cluster",
+                                            "schedule"};
+    EXPECT_EQ(pass_names("cluster,schedule"), expected);
+    EXPECT_EQ(pass_names("partition,cluster,schedule"), expected);
+    EXPECT_EQ(pass_names(""), std::vector<std::string>{"partition"});
+}
+
 TEST(DriverGuards, WriteOnlyLoopNotJammed)
 {
     // The paper: "we prefer not to unroll-and-jam loops that only

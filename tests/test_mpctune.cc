@@ -59,6 +59,8 @@ TEST(CandidateSpecs, HandSpecFirstAndGridIsDeduplicated)
         EXPECT_TRUE(
             transform::Pipeline::parse(specs[i], parsed, error))
             << specs[i] << ": " << error;
+        // ...end in the schedule pass, after any prefetch...
+        EXPECT_EQ(parsed.passNames().back(), "schedule") << specs[i];
         // ...and appear exactly once.
         for (size_t j = i + 1; j < specs.size(); ++j)
             EXPECT_NE(specs[i], specs[j]);

@@ -405,24 +405,37 @@ spanNamesOnTrack(const std::string &json, int tid)
 
 TEST(Obs, BaseRunTraceShowsTheChecksAroundPartition)
 {
-    // A base run at P > 1 runs one pipeline, the partition pass. With
-    // per-pass verification on, its compiler track must show the
-    // reference check before that pass and the post-pass check after.
+    // A run at P > 1 has one pipeline, which starts with the partition
+    // pass. With per-pass verification on, its compiler track must show
+    // the reference check before that pass and one post-pass check
+    // after it: a clustered run executes the partitioned program once
+    // too, and ends in the schedule pass's check.
     const ScopedEnv verify("MPC_VERIFY_PASSES", "1");
-    const ScopedEnv trace("MPC_TRACE", "obs_test_base_trace.json");
+    const ScopedEnv trace("MPC_TRACE", "obs_test_trace.json");
     workloads::SizeParams size;
     size.scale = 1;
-    harness::RunSpec spec;
-    spec.procs = 2;
-    (void)harness::runWorkload(workloads::makeByName("fft", size), spec);
-
-    const std::string path = "obs_test_base_trace.fft.base.2p.json";
-    const std::string json = readFile(path);
-    std::remove(path.c_str());
-    // -2 is runWorkload's compiler track.
-    EXPECT_EQ(spanNamesOnTrack(json, -2),
+    const auto compiler_spans = [&size](bool clustered) {
+        harness::RunSpec spec;
+        spec.procs = 2;
+        spec.clustered = clustered;
+        (void)harness::runWorkload(workloads::makeByName("fft", size), spec);
+        const std::string path = std::string("obs_test_trace.fft.") +
+                                 (clustered ? "clust" : "base") + ".2p.json";
+        const std::string json = readFile(path);
+        std::remove(path.c_str());
+        // -2 is runWorkload's compiler track.
+        return spanNamesOnTrack(json, -2);
+    };
+    EXPECT_EQ(compiler_spans(false),
               (std::vector<std::string>{"verify/threaded", "partition",
                                         "verify/threaded"}));
+
+    const std::vector<std::string> names = compiler_spans(true);
+    ASSERT_GE(names.size(), 4u);
+    EXPECT_EQ(std::vector<std::string>(names.begin(), names.begin() + 4),
+              (std::vector<std::string>{"verify/threaded", "partition",
+                                        "verify/threaded", "fuse"}));
+    EXPECT_EQ(names[names.size() - 2], "schedule");
 }
 
 } // namespace

@@ -2,9 +2,10 @@
  * @file
  * Tests for the pass pipeline layer: spec parsing, the registry, the
  * report renderings, equivalence between a parsed default pipeline and
- * the applyClustering() entry point, the per-pass check's reuse of an
- * unchanged program's run, the IR verifier, and fault injection (an
- * illegal pass must be caught and named by the per-pass verification).
+ * the applyClustering() entry point, the schedule pass's marks, the
+ * per-pass check's reuse of an unchanged program's run, the IR
+ * verifier, and fault injection (an illegal pass must be caught and
+ * named by the per-pass verification).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <set>
 
 #include "codegen/codegen.hh"
 #include "ir/eval.hh"
@@ -82,6 +84,16 @@ rowPairs(std::int64_t rows = 32, std::int64_t cols = 24)
     assignRefIds(k);
     layoutArrays(k);
     return k;
+}
+
+/** Every reference misses, so the cluster pass jams rowPairs(). */
+DriverParams
+missingParams()
+{
+    DriverParams params;
+    params.missRate = [](int) { return 1.0; };
+    params.bodySize = codegen::loweredBodySize;
+    return params;
 }
 
 /**
@@ -184,7 +196,7 @@ TEST(PassRegistryTest, HasAllBuiltinPasses)
     PassRegistry &registry = PassRegistry::instance();
     for (const char *name :
          {"partition", "fuse", "cluster", "postlude-interchange",
-          "scalar-replace", "inner-unroll", "prefetch"}) {
+          "scalar-replace", "inner-unroll", "prefetch", "schedule"}) {
         EXPECT_TRUE(registry.has(name)) << name;
         ASSERT_NE(registry.find(name), nullptr) << name;
         EXPECT_STREQ(registry.find(name)->name(), name);
@@ -345,7 +357,7 @@ TEST(PipelineKnobs, SpecFromParamsEmitsKnobsForNonDefaultFields)
     // Default-valued fields must NOT grow knobs: the default pipeline
     // spec string (and therefore every bench stdout) stays unchanged.
     EXPECT_EQ(pipelineSpecFromParams(DriverParams()),
-              defaultPipelineSpec());
+              defaultPipelineSpec() + ",schedule");
 }
 
 TEST(PipelineKnobs, SpecFromParamsRoundTripsAllGateCombos)
@@ -365,10 +377,10 @@ TEST(PipelineKnobs, SpecFromParamsRoundTripsAllGateCombos)
                 << spec << ": " << error;
             // Canonical rendering reproduces the spec...
             EXPECT_EQ(pipeline.spec(), spec);
-            // ...with the default spec's passes...
+            // ...with the default spec's passes, then schedule...
             Pipeline defaults;
-            ASSERT_TRUE(
-                Pipeline::parse(defaultPipelineSpec(), defaults, error));
+            ASSERT_TRUE(Pipeline::parse(defaultPipelineSpec() + ",schedule",
+                                        defaults, error));
             EXPECT_EQ(pipeline.passNames(), defaults.passNames())
                 << spec;
             // ...and re-applying the knobs reproduces the knob-backed
@@ -508,17 +520,100 @@ TEST(VerifyMemo, OnlyAChangedProgramExecutesAgain)
     // In the default spec only cluster changes this nest: the
     // reference and the check after cluster execute, the rest reuse.
     Kernel k = rowPairs();
-    DriverParams params;
-    params.missRate = [](int) { return 1.0; };
-    params.bodySize = codegen::loweredBodySize;
     int executions = 0;
     Pipeline pipeline =
         countingPipeline(defaultPipelineSpec(), k, executions);
-    const auto report = pipeline.run(k, params);
+    const auto report = pipeline.run(k, missingParams());
     EXPECT_TRUE(report.verifyFailures.empty());
     for (const auto &pass : report.passes)
         EXPECT_EQ(pass.actions > 0, pass.pass == "cluster") << pass.pass;
     EXPECT_EQ(executions, 2);
+}
+
+// ---------------------------------------------------------------------
+// The schedule pass marks the kernel; lowering reads the marks.
+// ---------------------------------------------------------------------
+
+PipelineReport
+runSpec(const std::string &spec, Kernel &k, const DriverParams &params)
+{
+    Pipeline pipeline;
+    std::string error;
+    EXPECT_TRUE(Pipeline::parse(spec, pipeline, error)) << error;
+    return pipeline.run(k, params);
+}
+
+TEST(SchedulePass, SpecWithoutScheduleLowersUnscheduled)
+{
+    // The default spec's loop passes transform the kernel exactly as
+    // the spec ending in schedule does, but leave it unmarked, so it
+    // lowers to the program the scheduled kernel gives without marks.
+    Kernel plain = rowPairs();
+    Kernel marked = rowPairs();
+    runSpec(defaultPipelineSpec(), plain, missingParams());
+    runSpec(pipelineSpecFromParams(missingParams()), marked,
+            missingParams());
+    EXPECT_FALSE(plain.schedule);
+    EXPECT_TRUE(plain.leadingRefIds.empty());
+    EXPECT_TRUE(marked.schedule);
+    ASSERT_EQ(plain.toString(), marked.toString());
+    EXPECT_NE(codegen::lower(plain).code, codegen::lower(marked).code);
+    marked.schedule = false;
+    EXPECT_EQ(codegen::lower(plain).code, codegen::lower(marked).code);
+}
+
+TEST(SchedulePass, AloneMarksEveryLoadLeading)
+{
+    // No loop pass made rows, so no nest names its leading refs: the
+    // empty set schedules every load as leading.
+    Kernel k = rowPairs();
+    const std::string before = k.toString();
+    const auto report = runSpec("schedule", k, DriverParams{});
+    EXPECT_TRUE(k.schedule);
+    EXPECT_TRUE(k.leadingRefIds.empty());
+    EXPECT_EQ(k.toString(), before);
+    EXPECT_TRUE(report.leadingRefIds.empty());
+    ASSERT_EQ(report.passes.size(), 1u);
+    EXPECT_EQ(report.passes[0].pass, "schedule");
+}
+
+TEST(SchedulePass, DefaultSpecMarksTheReportsLeadingRefs)
+{
+    Kernel k = rowPairs();
+    const auto report =
+        runSpec(pipelineSpecFromParams(missingParams()), k, missingParams());
+    EXPECT_TRUE(k.schedule);
+    ASSERT_FALSE(report.leadingRefIds.empty());
+    EXPECT_EQ(k.leadingRefIds,
+              std::set<int>(report.leadingRefIds.begin(),
+                            report.leadingRefIds.end()));
+    // clone() carries the marks, as the verifier's lowering needs.
+    const Kernel copy = k.clone();
+    EXPECT_TRUE(copy.schedule);
+    EXPECT_EQ(copy.leadingRefIds, k.leadingRefIds);
+}
+
+TEST(SchedulePass, CheckAfterScheduleExecutesTheScheduledProgram)
+{
+    // cluster changes the program once (reference + one check); the
+    // schedule changes it again, so its check executes too.
+    int plain_runs = 0;
+    {
+        Kernel k = rowPairs();
+        const auto report = countingPipeline("cluster", k, plain_runs)
+                                .run(k, missingParams());
+        EXPECT_TRUE(report.verifyFailures.empty());
+    }
+    int scheduled_runs = 0;
+    {
+        Kernel k = rowPairs();
+        const auto report =
+            countingPipeline("cluster,schedule", k, scheduled_runs)
+                .run(k, missingParams());
+        EXPECT_TRUE(report.verifyFailures.empty());
+    }
+    EXPECT_EQ(plain_runs, 2);
+    EXPECT_EQ(scheduled_runs, plain_runs + 1);
 }
 
 // ---------------------------------------------------------------------

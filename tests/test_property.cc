@@ -108,14 +108,13 @@ struct RandomKernel
         return checksumArrays(k, mem);
     }
 
+    /** Checksum of @p k lowered as marked (scheduled or not). */
     std::uint64_t
-    interpChecksum(const Kernel &k, bool clustered) const
+    interpChecksum(const Kernel &k) const
     {
         kisa::MemoryImage mem;
         fill(mem, 1);
-        codegen::CodegenOptions options;
-        options.clusteredSchedule = clustered;
-        auto program = codegen::lower(k, options);
+        auto program = codegen::lower(k);
         kisa::Interpreter interp(mem);
         interp.addCore(program);
         interp.run(1u << 28);
@@ -129,10 +128,10 @@ class FuzzSeeds : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(FuzzSeeds, EvaluatorVsInterpreter)
 {
     RandomKernel rk(GetParam());
-    EXPECT_EQ(rk.evalChecksum(rk.kernel),
-              rk.interpChecksum(rk.kernel, false));
-    EXPECT_EQ(rk.evalChecksum(rk.kernel),
-              rk.interpChecksum(rk.kernel, true));
+    Kernel scheduled = rk.kernel.clone();
+    scheduled.schedule = true;
+    EXPECT_EQ(rk.evalChecksum(rk.kernel), rk.interpChecksum(rk.kernel));
+    EXPECT_EQ(rk.evalChecksum(rk.kernel), rk.interpChecksum(scheduled));
 }
 
 TEST_P(FuzzSeeds, UnrollAndJamPreservesSemantics)
@@ -147,7 +146,8 @@ TEST_P(FuzzSeeds, UnrollAndJamPreservesSemantics)
             continue;   // illegal draw: nothing to check
         EXPECT_EQ(rk.evalChecksum(x), golden)
             << "factor " << factor << "\n" << x.toString();
-        EXPECT_EQ(rk.interpChecksum(x, true), golden);
+        x.schedule = true;
+        EXPECT_EQ(rk.interpChecksum(x), golden);
     }
 }
 
@@ -205,19 +205,21 @@ TEST_P(FuzzSeeds, FullDriverPreservesSemantics)
     params.bodySize = codegen::loweredBodySize;
     transform::applyClustering(x, params);
     EXPECT_EQ(rk.evalChecksum(x), golden) << x.toString();
-    EXPECT_EQ(rk.interpChecksum(x, true), golden);
+    EXPECT_EQ(rk.interpChecksum(x), golden);
 }
 
 TEST_P(FuzzSeeds, RandomPassSpecsPassEveryCheck)
 {
     // Random orders of the clustering passes, most of which leave a
     // given nest alone, so most post-pass checks reuse the last run.
+    // `schedule` lands anywhere, so the check after it runs the list
+    // schedule with whatever leading set the nests have at that point.
     RandomKernel rk(GetParam());
     const std::uint64_t golden = rk.evalChecksum(rk.kernel);
     Rng rng(GetParam() * 1009 + 17);
     const std::vector<std::string> names = {
         "fuse", "cluster", "postlude-interchange", "scalar-replace",
-        "inner-unroll", "prefetch"};
+        "inner-unroll", "prefetch", "schedule"};
     for (int draw = 0; draw < 12; ++draw) {
         // Shuffle, then keep a non-empty prefix.
         std::vector<std::string> order = names;
@@ -263,11 +265,17 @@ TEST_P(FuzzSeeds, PartitioningCoversSpace)
         x.body[0]->parallel ? std::vector<int>{2, 3, 7, 16}
                             : std::vector<int>{1};
     transform::partitionParallelLoops(x);
-    // Then cluster, as the harness does: the driver may jam the
-    // per-processor range and interchange its postlude.
+    // Then the default spec's loop passes, as the harness runs them:
+    // the driver may jam the per-processor range and interchange its
+    // postlude.
     transform::DriverParams params;
     params.bodySize = codegen::loweredBodySize;
-    transform::applyClustering(x, params);
+    transform::Pipeline pipeline;
+    std::string error;
+    ASSERT_TRUE(transform::Pipeline::parse(transform::defaultPipelineSpec(),
+                                           pipeline, error))
+        << error;
+    pipeline.run(x, params);
     const kisa::Program program = codegen::lower(x);
     for (int procs : proc_counts) {
         kisa::MemoryImage mem;

@@ -69,9 +69,7 @@ clusteredChecksum(const Workload &w)
 
     kisa::MemoryImage mem;
     w.init(mem);
-    codegen::CodegenOptions options;
-    options.clusteredSchedule = true;
-    auto program = codegen::lower(kernel, options);
+    auto program = codegen::lower(kernel);
     kisa::Interpreter interp(mem);
     interp.addCore(program);
     interp.run(1ull << 30);
@@ -136,8 +134,8 @@ TEST_P(ParallelWorkloads, PartitionedRunMatchesSequential)
 TEST_P(ParallelWorkloads, ClusteredRunMatchesSequential)
 {
     // The multiprocessor figures' compile path: partition, profile,
-    // the default pipeline, per-core lowering with the clustered
-    // schedule. The P programs on one image must compute the
+    // the default pipeline ending in the schedule pass, one lowered
+    // program per core. The P programs on one image must compute the
     // sequential base's arrays.
     Workload w = makeByName(GetParam(), tiny());
     const std::uint64_t seq = interpChecksum(w, w.kernel, 1);
@@ -156,17 +154,12 @@ TEST_P(ParallelWorkloads, ClusteredRunMatchesSequential)
         pipeline.initMemory = [&w](kisa::MemoryImage &image) {
             w.init(image);
         };
-        const transform::PipelineReport report =
-            pipeline.run(kernel, params);
-        codegen::CodegenOptions options;
-        options.clusteredSchedule = true;
-        for (int ref_id : report.leadingRefIds)
-            options.leadingRefs.insert(static_cast<std::uint32_t>(ref_id));
+        pipeline.run(kernel, params);
         kisa::MemoryImage mem;
         w.init(mem);
         kisa::execute(std::vector<kisa::Program>(
                           static_cast<std::size_t>(procs),
-                          codegen::lower(kernel, options)),
+                          codegen::lower(kernel)),
                       mem);
         EXPECT_EQ(ir::checksumArrays(w.kernel, mem), seq)
             << GetParam() << " at " << procs << "p";

@@ -16,8 +16,9 @@
  *   --prefetch N     also insert software prefetches N lines ahead
  *   --max-unroll N   cap the unroll-and-jam degree (default 16)
  *   --pipeline SPEC  transform with a custom pass pipeline (comma-
- *                    separated pass names, e.g. "cluster,prefetch")
- *                    instead of the default driver pipeline
+ *                    separated pass names, e.g. "cluster,schedule")
+ *                    instead of the default driver pipeline; a spec
+ *                    without `schedule` runs unscheduled
  *   --dump-ir MODE   dump the IR ("after-each-pass") while transforming
  *   --list-passes    list the registered passes and exit
  *   --show-kernel    print the (transformed) kernel IR
