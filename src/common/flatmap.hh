@@ -3,7 +3,8 @@
  * Open-addressed hash and dense array maps for the simulation hot path.
  *
  * FlatAddrMap replaces std::unordered_map<Addr, V> where entries are
- * never erased (the coherence directory): power-of-two capacity, linear
+ * never erased (the coherence directory, the profiler's per-line
+ * holder masks): power-of-two capacity, linear
  * probing, invalidAddr as the empty-slot sentinel, so a lookup is a
  * multiplicative hash plus a short contiguous scan with no per-node
  * indirection. DenseRefMap replaces per-refId maps: refIds are small

@@ -33,11 +33,17 @@ class TagCache
         setMask_ = cfg.numSets() - 1;
     }
 
-    /** Access @p addr; @return true on hit. */
+    /** Line number of @p addr, as the tags and the holder masks key
+     *  lines. */
+    Addr lineOf(Addr addr) const { return addr >> lineShift_; }
+
+    /** Access @p addr; @return true on hit. On a miss, @p evicted
+     *  receives the line the fill replaced, or noLine when the way was
+     *  empty. */
     bool
-    access(Addr addr)
+    access(Addr addr, std::uint32_t &evicted)
     {
-        const Addr line = addr >> lineShift_;   // tags are line numbers
+        const Addr line = lineOf(addr);         // tags are line numbers
         MPC_ASSERT(line < 0xffffffffu, "address beyond 32-bit line space");
         const auto tag = static_cast<std::uint32_t>(line);
         const size_t set = line & setMask_;
@@ -56,31 +62,41 @@ class TagCache
         for (Way *w = base + 1; w < base + assoc_; ++w)
             if (w->lru < victim->lru)
                 victim = w;
+        evicted = victim->tag;
         victim->tag = tag;
         victim->lru = ++clock_;
         return false;
+    }
+
+    /** Access @p addr; @return true on hit. */
+    bool
+    access(Addr addr)
+    {
+        std::uint32_t evicted;
+        return access(addr, evicted);
     }
 
     /** Drop @p addr's line if present (remote write invalidation). */
     void
     invalidate(Addr addr)
     {
-        const Addr line = addr >> lineShift_;
+        const Addr line = lineOf(addr);
         MPC_ASSERT(line < 0xffffffffu, "address beyond 32-bit line space");
         const auto tag = static_cast<std::uint32_t>(line);
         const size_t set = line & setMask_;
         Way *const base = ways_.data() + set * static_cast<size_t>(assoc_);
         for (Way *w = base; w < base + assoc_; ++w) {
             if (w->tag == tag) {
-                w->tag = invalidTag;
+                w->tag = noLine;
                 w->lru = 0;
             }
         }
     }
 
-  private:
-    static constexpr std::uint32_t invalidTag = 0xffffffffu;
+    /** The tag of an empty way, which no line has. */
+    static constexpr std::uint32_t noLine = 0xffffffffu;
 
+  private:
     /** Tag and LRU stamp side by side, 8 bytes per way: a 4-way set
      *  is half a 64-byte host cache line, so the whole table is twice
      *  as cache-resident as a 16-byte layout and an access touches one
@@ -90,7 +106,7 @@ class TagCache
      *  executed instruction, bounded by the 2^31 execution budget. */
     struct Way
     {
-        std::uint32_t tag = invalidTag;
+        std::uint32_t tag = noLine;
         std::uint32_t lru = 0;
     };
 
@@ -148,27 +164,54 @@ CacheProfile::measure(const kisa::Program &program,
                       const mem::CacheConfig &geometry, int num_cores)
 {
     MPC_ASSERT(num_cores >= 1, "profile on at least one core");
+    MPC_ASSERT(num_cores <= 64,
+               "profile on at most 64 cores (one holder-mask bit each)");
     CacheProfile profile;
     const std::vector<const kisa::Program *> cores(
         static_cast<size_t>(num_cores), &program);
     std::vector<TagCache> caches(cores.size(), TagCache(geometry));
     FlatCounts tallies;
-    // Statically-typed hook: inlines into the execution loop instead
-    // of paying a std::function dispatch per memory access.
-    kisa::executeWithHook(
-        cores.data(), cores.size(), scratch,
-        [&](int core, const kisa::Instr &instr, Addr addr,
-            bool is_load) {
-            const bool hit =
-                caches[static_cast<size_t>(core)].access(addr);
-            if (!is_load) {
-                for (size_t c = 0; c < caches.size(); ++c)
-                    if (c != static_cast<size_t>(core))
-                        caches[c].invalidate(addr);
-            }
-            tallies.tally(instr.refId, hit);
-        },
-        1ull << 31);
+    // Statically-typed hooks: they inline into the execution loop
+    // instead of paying a std::function dispatch per memory access.
+    if (num_cores == 1) {
+        kisa::executeWithHook(
+            cores.data(), cores.size(), scratch,
+            [&](int, const kisa::Instr &instr, Addr addr, bool) {
+                tallies.tally(instr.refId, caches[0].access(addr));
+            },
+            1ull << 31);
+    } else {
+        // The caches that hold each line, one bit per core: set on a
+        // fill, cleared on an eviction or an invalidation. A store
+        // invalidates the line only in the other caches that hold it;
+        // invalidating a cache without the line changes nothing, so
+        // the counts equal those of invalidating all P - 1 of them.
+        FlatAddrMap<std::uint64_t> holders;
+        kisa::executeWithHook(
+            cores.data(), cores.size(), scratch,
+            [&](int core, const kisa::Instr &instr, Addr addr,
+                bool is_load) {
+                TagCache &cache = caches[static_cast<size_t>(core)];
+                const std::uint64_t self = std::uint64_t(1) << core;
+                std::uint32_t evicted = TagCache::noLine;
+                const bool hit = cache.access(addr, evicted);
+                if (evicted != TagCache::noLine)
+                    holders[evicted] &= ~self;
+                if (!is_load) {
+                    std::uint64_t &mask = holders[cache.lineOf(addr)];
+                    for (std::uint64_t others = mask & ~self; others != 0;
+                         others &= others - 1)
+                        caches[static_cast<size_t>(
+                                   std::countr_zero(others))]
+                            .invalidate(addr);
+                    mask = self;
+                } else if (!hit) {
+                    holders[cache.lineOf(addr)] |= self;
+                }
+                tallies.tally(instr.refId, hit);
+            },
+            1ull << 31);
+    }
     tallies.forEach([&](std::uint32_t id, std::uint64_t accesses,
                         std::uint64_t misses) {
         auto &counts = profile.counts_[id];

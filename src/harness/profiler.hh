@@ -4,6 +4,8 @@
  * Equation 4). Runs the base program functionally through a tag-only
  * cache model with the target L2 geometry and reports per-refId miss
  * rates — the "cache simulation or profiling" the paper prescribes.
+ * harness::makeDriverParams measures a profile only when a pass first
+ * reads it (runner.hh).
  */
 
 #ifndef MPC_HARNESS_PROFILER_HH
@@ -28,7 +30,9 @@ class CacheProfile
      * @p scratch (a copy is NOT made; pass a disposable image) and
      * record per-refId miss rates. Each core has its own tag cache of
      * @p geometry, and a store invalidates the line in the others, so
-     * on several cores communication misses are measured too.
+     * on several cores communication misses are measured too: a mask
+     * per line records which caches hold it, and a store invalidates
+     * only those. At most 64 cores (asserted), one mask bit each.
      * Per-refId counts aggregate across cores.
      */
     static CacheProfile measure(const kisa::Program &program,

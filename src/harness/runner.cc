@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
 
 #include "harness/profiler.hh"
 
@@ -95,6 +97,61 @@ makePipeline(const std::string &spec, const workloads::Workload &workload,
     return pipeline;
 }
 
+/**
+ * The two miss-rate profiles of one run, each executed the first time
+ * a pass reads it: a spec whose passes read no miss rate runs neither.
+ * Every copy of the DriverParams shares one instance, so each runs at
+ * most once. It owns all it needs (the partitioned clone, a copy of
+ * the workload's initializer, the cache geometry), so the caller's
+ * kernel and workload may go away after makeDriverParams returns.
+ */
+class LazyProfiles
+{
+  public:
+    LazyProfiles(ir::Kernel kernel,
+                 std::function<void(kisa::MemoryImage &)> init,
+                 const mem::CacheConfig &geometry, int procs)
+        : kernel_(std::move(kernel)), init_(std::move(init)),
+          geometry_(geometry), procs_(procs)
+    {}
+
+    /** P_m (Section 3.2.2): the base program on one core. */
+    const CacheProfile &
+    oneCore()
+    {
+        std::call_once(oneCoreOnce_, [this] { oneCore_ = measure(1); });
+        return oneCore_;
+    }
+
+    /** The run-matched profile: the base program on every core. */
+    const CacheProfile &
+    runMatched()
+    {
+        std::call_once(runMatchedOnce_,
+                       [this] { runMatched_ = measure(procs_); });
+        return runMatched_;
+    }
+
+  private:
+    CacheProfile
+    measure(int cores)
+    {
+        std::call_once(programOnce_,
+                       [this] { program_ = codegen::lower(kernel_); });
+        kisa::MemoryImage scratch;
+        init_(scratch);
+        return CacheProfile::measure(program_, scratch, geometry_, cores);
+    }
+
+    const ir::Kernel kernel_;
+    const std::function<void(kisa::MemoryImage &)> init_;
+    const mem::CacheConfig geometry_;
+    const int procs_;
+    std::once_flag programOnce_, oneCoreOnce_, runMatchedOnce_;
+    kisa::Program program_;
+    CacheProfile oneCore_, runMatched_;
+};
+
 /** Does @p spec name the partition pass? False for "" and for a bad
  *  spec, which makePipeline then reports. */
 bool
@@ -116,20 +173,18 @@ makeDriverParams(const workloads::Workload &workload,
                  const sys::SystemConfig &config, int procs,
                  int max_unroll)
 {
-    // Profile P_m on the base binary run on one core, with the target
-    // cache geometry (Section 3.2.2: "measured through cache
-    // simulation or profiling"). At P > 1 that is the partitioned
-    // kernel, which the run's pipeline starts with.
+    // P_m is profiled on the base binary with the target cache
+    // geometry (Section 3.2.2: "measured through cache simulation or
+    // profiling"). At P > 1 that is the partitioned kernel, which the
+    // run's pipeline starts with. Each profile runs when a pass first
+    // reads it (LazyProfiles).
     ir::Kernel base = kernel.clone();
     if (procs > 1)
         transform::partitionParallelLoops(base);
-    kisa::MemoryImage scratch;
-    workload.init(scratch);
-    const kisa::Program base_prog = codegen::lower(base);
     const auto &geometry =
         config.hier.singleLevel ? config.hier.l1 : config.hier.l2;
-    const CacheProfile profile =
-        CacheProfile::measure(base_prog, scratch, geometry);
+    const auto profiles = std::make_shared<LazyProfiles>(
+        std::move(base), workload.init, geometry, procs);
 
     transform::DriverParams params;
     params.lp = geometry.numMshrs;
@@ -137,8 +192,8 @@ makeDriverParams(const workloads::Workload &workload,
     params.lineBytes = geometry.lineBytes;
     params.maxUnroll = max_unroll;
     params.bodySize = codegen::loweredBodySize;
-    params.missRate = [profile](int ref_id) {
-        return profile.missRate(ref_id);
+    params.missRate = [profiles](int ref_id) {
+        return profiles->oneCore().missRate(ref_id);
     };
     if (procs > 1) {
         // Run-matched profile: the same binary on every core, through
@@ -146,15 +201,11 @@ makeDriverParams(const workloads::Workload &workload,
         // see when partitioning shrank a stream's footprint below the
         // cache and its static miss estimate stopped being realizable
         // (communication misses only).
-        kisa::MemoryImage multi_scratch;
-        workload.init(multi_scratch);
-        const CacheProfile realized = CacheProfile::measure(
-            base_prog, multi_scratch, geometry, procs);
-        params.realizedMissRate = [realized](int ref_id) {
-            return realized.missRate(ref_id);
+        params.realizedMissRate = [profiles](int ref_id) {
+            return profiles->runMatched().missRate(ref_id);
         };
-        params.realizedAccesses = [realized](int ref_id) {
-            return realized.accesses(ref_id);
+        params.realizedAccesses = [profiles](int ref_id) {
+            return profiles->runMatched().accesses(ref_id);
         };
     }
     return params;

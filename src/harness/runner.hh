@@ -85,14 +85,26 @@ sys::SystemConfig scaleConfig(sys::SystemConfig config,
  * Build the transformation driver's parameters for @p workload on
  * @p config: machine knobs (lp from the MSHR count, window size, line
  * bytes) plus the profiled per-reference miss rates Section 3.2.2
- * calls for — measured by lowering the UNtransformed @p kernel
- * (a partitioned clone of it when @p procs > 1, as the run's pipeline
- * starts with the partition pass) once and executing it
- * against the target cache geometry on one core and, for the
- * run-matched multiprocessor profile, on @p procs cores when
- * @p procs > 1. Candidate-independent, so the autotuner profiles
- * once and reuses the result across every pipeline spec it tries;
- * runWorkload calls this on its transforming path.
+ * calls for. A profile lowers the UNtransformed @p kernel (a
+ * partitioned clone of it when @p procs > 1, as the run's pipeline
+ * starts with the partition pass) and executes it against the target
+ * cache geometry: on one core for `missRate`, and on @p procs cores
+ * for the run-matched `realizedMissRate` and `realizedAccesses`
+ * (@p procs > 1 only; null otherwise).
+ *
+ * Nothing executes here. Each profile runs the first time one of its
+ * closures is called, and only once for every copy of the result: the
+ * one-core profile when a pass reads an irregular leading reference's
+ * P_m (Equation 4), the run-matched one when the cluster pass's
+ * realized-miss gate judges a jam. A spec whose passes read no miss
+ * rate runs neither. A profile's host time therefore falls inside the
+ * first pass that reads it (`fuse` or `cluster` today), in that pass's
+ * PassReport::wallMs and its span on the MPC_TRACE compiler track.
+ * The result keeps copies of what it needs (the clone, the workload's
+ * initializer, the geometry), not references to the arguments.
+ * Candidate-independent, so the autotuner builds it once and reuses it
+ * across every pipeline spec it tries; runWorkload calls this on its
+ * transforming path.
  */
 transform::DriverParams makeDriverParams(
     const workloads::Workload &workload, const ir::Kernel &kernel,

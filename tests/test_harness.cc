@@ -12,6 +12,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -25,7 +27,9 @@
 #include "harness/profiler.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
+#include "kisa/exec_threaded.hh"
 #include "transform/pipeline.hh"
+#include "transform/transforms.hh"
 #include "workloads/workload.hh"
 
 namespace mpc::harness
@@ -98,6 +102,292 @@ TEST(Profiler, RepeatedSweepOfResidentArrayHits)
     EXPECT_LT(profile.missRate(3), 0.05);
 }
 
+/**
+ * Test-only reference for CacheProfile::measure on several cores: the
+ * same tag-only LRU caches (first-minimum victim, an invalidated way
+ * is empty with stamp 0), but a store invalidates the line in every
+ * other cache instead of only in the ones that hold it.
+ */
+class InvalidateAllProfile
+{
+  public:
+    struct Counts
+    {
+        std::uint64_t accesses = 0;
+        std::uint64_t misses = 0;
+    };
+
+    static std::map<int, Counts>
+    measure(const kisa::Program &program, kisa::MemoryImage &scratch,
+            const mem::CacheConfig &geometry, int num_cores)
+    {
+        std::vector<Cache> caches(static_cast<size_t>(num_cores),
+                                  Cache(geometry));
+        const std::vector<const kisa::Program *> cores(
+            static_cast<size_t>(num_cores), &program);
+        std::map<int, Counts> counts;
+        kisa::executeWithHook(
+            cores.data(), cores.size(), scratch,
+            [&](int core, const kisa::Instr &instr, Addr addr,
+                bool is_load) {
+                const bool hit =
+                    caches[static_cast<size_t>(core)].access(addr);
+                if (!is_load)
+                    for (int c = 0; c < num_cores; ++c)
+                        if (c != core)
+                            caches[static_cast<size_t>(c)].invalidate(
+                                addr);
+                if (instr.refId == 0xffffffff)
+                    return;
+                Counts &ref = counts[static_cast<int>(instr.refId)];
+                ++ref.accesses;
+                ref.misses += !hit;
+            },
+            1ull << 31);
+        return counts;
+    }
+
+  private:
+    class Cache
+    {
+      public:
+        explicit Cache(const mem::CacheConfig &cfg)
+            : ways_(cfg.numSets() * static_cast<size_t>(cfg.assoc)),
+              sets_(cfg.numSets()), assoc_(cfg.assoc),
+              lineBytes_(cfg.lineBytes)
+        {}
+
+        bool
+        access(Addr addr)
+        {
+            Way *const set = setOf(addr);
+            const Addr line = addr / lineBytes_;
+            for (int w = 0; w < assoc_; ++w) {
+                if (set[w].line == line) {
+                    set[w].stamp = ++clock_;
+                    return true;
+                }
+            }
+            Way *victim = set;
+            for (int w = 1; w < assoc_; ++w)
+                if (set[w].stamp < victim->stamp)
+                    victim = &set[w];
+            victim->line = line;
+            victim->stamp = ++clock_;
+            return false;
+        }
+
+        void
+        invalidate(Addr addr)
+        {
+            Way *const set = setOf(addr);
+            for (int w = 0; w < assoc_; ++w)
+                if (set[w].line == addr / lineBytes_)
+                    set[w] = Way{};
+        }
+
+      private:
+        struct Way
+        {
+            Addr line = invalidAddr;
+            std::uint64_t stamp = 0;
+        };
+
+        Way *
+        setOf(Addr addr)
+        {
+            const Addr set = (addr / lineBytes_) % sets_;
+            return ways_.data() + set * static_cast<size_t>(assoc_);
+        }
+
+        std::vector<Way> ways_;
+        std::uint64_t sets_;
+        int assoc_;
+        std::uint64_t lineBytes_;
+        std::uint64_t clock_ = 0;
+    };
+};
+
+/** Expect CacheProfile::measure's per-refId accesses and misses on
+ *  @p num_cores cores to equal the invalidate-all reference's. */
+void
+expectHolderProfileExact(const kisa::Program &program,
+                         const std::function<void(kisa::MemoryImage &)> &init,
+                         const mem::CacheConfig &geometry, int num_cores,
+                         const std::string &what)
+{
+    kisa::MemoryImage measured_image, reference_image;
+    init(measured_image);
+    init(reference_image);
+    const CacheProfile profile = CacheProfile::measure(
+        program, measured_image, geometry, num_cores);
+    const std::map<int, InvalidateAllProfile::Counts> reference =
+        InvalidateAllProfile::measure(program, reference_image, geometry,
+                                      num_cores);
+    ASSERT_FALSE(reference.empty()) << what;
+    int max_ref_id = 0;
+    for (const kisa::Instr &instr : program.code)
+        if (instr.refId != 0xffffffff)
+            max_ref_id = std::max(max_ref_id, static_cast<int>(instr.refId));
+    for (int id = 0; id <= max_ref_id; ++id) {
+        const auto it = reference.find(id);
+        const InvalidateAllProfile::Counts want =
+            it == reference.end() ? InvalidateAllProfile::Counts{}
+                                  : it->second;
+        ASSERT_EQ(profile.accesses(id), want.accesses)
+            << what << " refId " << id;
+        if (want.accesses == 0)
+            continue;
+        // Equal access counts and equal rates mean equal miss counts.
+        EXPECT_EQ(profile.missRate(id), double(want.misses) /
+                                            double(want.accesses))
+            << what << " refId " << id << ": "
+            << profile.missRate(id) * double(want.accesses)
+            << " misses, the reference " << want.misses;
+    }
+}
+
+/** The P counts the holder-mask check runs at: odd, small, the figure
+ *  counts and the asserted maximum. */
+constexpr int kHolderCheckProcs[] = {2, 3, 8, 16, 64};
+
+class HolderInvalidationWorkloads
+    : public ::testing::TestWithParam<const char *>
+{};
+
+TEST_P(HolderInvalidationWorkloads, ProfileEqualsInvalidateAll)
+{
+    // The partitioned base program, as makeDriverParams profiles it.
+    workloads::SizeParams tiny;
+    tiny.scale = 1;
+    const auto w = workloads::makeByName(GetParam(), tiny);
+    ir::Kernel kernel = w.kernel.clone();
+    ir::assignRefIds(kernel);
+    transform::partitionParallelLoops(kernel);
+    const kisa::Program program = codegen::lower(kernel);
+    const mem::CacheConfig geometry =
+        scaleConfig(sys::baseConfig(), w).hier.l2;
+    for (int procs : kHolderCheckProcs)
+        expectHolderProfileExact(program, w.init, geometry, procs,
+                                 w.name + " at P = " +
+                                     std::to_string(procs));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Parallel, HolderInvalidationWorkloads,
+    ::testing::Values("em3d", "erlebacher", "fft", "lu", "mp3d", "ocean"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        return std::string(info.param);
+    });
+
+TEST(HolderInvalidation, StoresToLinesOtherCoresHoldEqualInvalidateAll)
+{
+    // Three rounds of: every core loads all 96 lines of a shared region
+    // (refId 1); core 0 alone loads 128 other lines that map to the
+    // same sets (refId 4), evicting the region from its cache while the
+    // other cores keep it; core p stores to lines p, p + P, ... (refId
+    // 2), which the other cores hold; a barrier after each phase. Last,
+    // every core loads the region again (refId 3). A 2 KB 2-way cache
+    // holds 32 lines, so the first phase evicts too; an 8 KB 4-way one
+    // holds the region.
+    kisa::AsmBuilder b("holders");
+    const kisa::Reg r_id = 1, r_np = 2, r_i = 3, r_n = 4, r_addr = 5,
+                    r_step = 6, r_round = 7, r_rounds = 8, r_base = 9,
+                    r_zero = 11, r_evict = 12;
+    const std::int64_t base = 0x300000, lines = 96;
+    const std::int64_t conflicting = base + 0x100000, evict_lines = 128;
+    b.procId(r_id);
+    b.numProcs(r_np);
+    b.iLoadImm(r_n, lines);
+    b.iLoadImm(r_zero, 0);
+    b.iLoadImm(r_evict, evict_lines);
+    b.iLoadImm(r_round, 0);
+    b.iLoadImm(r_rounds, 3);
+    auto round = b.newLabel();
+    b.bind(round);
+    b.iLoadImm(r_i, 0);
+    b.iLoadImm(r_addr, base);
+    auto load_all = b.newLabel();
+    b.bind(load_all);
+    b.ldF(10, r_addr, 0, /*ref_id=*/1);
+    b.iAddImm(r_addr, r_addr, 64);
+    b.iAddImm(r_i, r_i, 1);
+    b.bLt(r_i, r_n, load_all);
+    b.barrier();
+    auto evicted = b.newLabel();
+    b.bNe(r_id, r_zero, evicted);
+    b.iLoadImm(r_i, 0);
+    b.iLoadImm(r_addr, conflicting);
+    auto evict = b.newLabel();
+    b.bind(evict);
+    b.ldF(10, r_addr, 0, /*ref_id=*/4);
+    b.iAddImm(r_addr, r_addr, 64);
+    b.iAddImm(r_i, r_i, 1);
+    b.bLt(r_i, r_evict, evict);
+    b.bind(evicted);
+    b.barrier();
+    b.iShlImm(r_addr, r_id, 6);
+    b.iLoadImm(r_base, base);
+    b.iAdd(r_addr, r_addr, r_base);
+    b.iShlImm(r_step, r_np, 6);
+    b.iAddImm(r_i, r_id, 0);
+    auto store_own = b.newLabel();
+    b.bind(store_own);
+    b.stF(r_addr, 0, 10, /*ref_id=*/2);
+    b.iAdd(r_addr, r_addr, r_step);
+    b.iAdd(r_i, r_i, r_np);
+    b.bLt(r_i, r_n, store_own);
+    b.barrier();
+    b.iAddImm(r_round, r_round, 1);
+    b.bLt(r_round, r_rounds, round);
+    b.iLoadImm(r_i, 0);
+    b.iLoadImm(r_addr, base);
+    auto reload = b.newLabel();
+    b.bind(reload);
+    b.ldF(10, r_addr, 0, /*ref_id=*/3);
+    b.iAddImm(r_addr, r_addr, 64);
+    b.iAddImm(r_i, r_i, 1);
+    b.bLt(r_i, r_n, reload);
+    b.halt();
+    const kisa::Program program = b.finish();
+
+    mem::CacheConfig small;
+    small.sizeBytes = 2 * 1024;
+    small.assoc = 2;
+    mem::CacheConfig large;
+    large.sizeBytes = 8 * 1024;
+    large.assoc = 4;
+    const auto no_init = [](kisa::MemoryImage &) {};
+    for (const mem::CacheConfig &geometry : {small, large})
+        for (int procs : kHolderCheckProcs)
+            expectHolderProfileExact(
+                program, no_init, geometry, procs,
+                std::to_string(geometry.sizeBytes) + " B at P = " +
+                    std::to_string(procs));
+
+    // The stores do invalidate: in the large cache one core reloads
+    // only hits, while at P = 4 each core misses on the 72 lines the
+    // other three stored to.
+    kisa::MemoryImage one, four;
+    EXPECT_EQ(CacheProfile::measure(program, one, large).missRate(3), 0.0);
+    EXPECT_EQ(CacheProfile::measure(program, four, large, 4).missRate(3),
+              0.75);
+}
+
+TEST(HolderInvalidationDeathTest, MoreThan64CoresAsserts)
+{
+    kisa::AsmBuilder b("halt");
+    b.halt();
+    const kisa::Program program = b.finish();
+    mem::CacheConfig geometry;
+    EXPECT_DEATH(
+        {
+            kisa::MemoryImage scratch;
+            (void)CacheProfile::measure(program, scratch, geometry, 65);
+        },
+        "at most 64 cores");
+}
+
 TEST(ScaleConfig, ScalesTheLowestLevel)
 {
     workloads::SizeParams tiny;
@@ -154,6 +444,152 @@ TEST(Runner, PartitionLeadsTheOnePipelineAtPGreaterThanOne)
     EXPECT_EQ(pass_names("cluster,schedule"), expected);
     EXPECT_EQ(pass_names("partition,cluster,schedule"), expected);
     EXPECT_EQ(pass_names(""), std::vector<std::string>{"partition"});
+}
+
+/** A scale-1 workload whose init counts its calls in @p inits: every
+ *  profile initializes one image, and nothing else here calls it. */
+workloads::Workload
+countingWorkload(const std::string &name, std::shared_ptr<int> inits)
+{
+    workloads::SizeParams tiny;
+    tiny.scale = 1;
+    workloads::Workload w = workloads::makeByName(name, tiny);
+    w.init = [init = w.init, inits](kisa::MemoryImage &image) {
+        ++*inits;
+        init(image);
+    };
+    return w;
+}
+
+/**
+ * What runWorkload does to transform @p w at @p procs, unverified:
+ * makeDriverParams, then @p spec (empty: pipelineSpecFromParams) led
+ * by partition at P > 1. @return the params, to read after the run.
+ */
+transform::DriverParams
+transformUnverified(const workloads::Workload &w, int procs,
+                    std::string spec = "")
+{
+    ir::Kernel kernel = w.kernel.clone();
+    ir::assignRefIds(kernel);
+    transform::DriverParams params = makeDriverParams(
+        w, kernel, scaleConfig(sys::baseConfig(), w), procs, 16);
+    if (spec.empty())
+        spec = transform::pipelineSpecFromParams(params);
+    if (procs > 1)
+        spec = "partition," + spec;
+    transform::Pipeline pipeline;
+    std::string error;
+    EXPECT_TRUE(transform::Pipeline::parse(spec, pipeline, error))
+        << error;
+    pipeline.verifyMode = transform::VerifyMode::Off;
+    pipeline.run(kernel, params);
+    return params;
+}
+
+TEST(LazyProfiles, RegularLeadingRefsAtOneProcessorRunNoProfile)
+{
+    // Ocean's leading references are all regular, so no pass reads
+    // P_m, and at P = 1 there is no run-matched profile.
+    const auto inits = std::make_shared<int>(0);
+    const auto w = countingWorkload("ocean", inits);
+    const transform::DriverParams params = transformUnverified(w, 1);
+    EXPECT_EQ(*inits, 0);
+    EXPECT_FALSE(params.realizedMissRate);
+    EXPECT_FALSE(params.realizedAccesses);
+}
+
+TEST(LazyProfiles, IrregularLeadingRefsAtOneProcessorRunOne)
+{
+    // Em3d's gathers are irregular: the one-core profile runs once.
+    const auto inits = std::make_shared<int>(0);
+    const auto w = countingWorkload("em3d", inits);
+    transformUnverified(w, 1);
+    EXPECT_EQ(*inits, 1);
+}
+
+TEST(LazyProfiles, RegularLeadingRefsAtEightRunOnlyTheRunMatchedProfile)
+{
+    const auto inits = std::make_shared<int>(0);
+    const auto w = countingWorkload("erlebacher", inits);
+    const transform::DriverParams params = transformUnverified(w, 8);
+    EXPECT_EQ(*inits, 1);
+    (void)params.realizedMissRate(0);
+    (void)params.realizedAccesses(0);
+    EXPECT_EQ(*inits, 1) << "the run-matched profile ran again";
+    (void)params.missRate(0);
+    EXPECT_EQ(*inits, 2) << "the one-core profile had run already";
+}
+
+TEST(LazyProfiles, NoJudgedJamAtEightRunsOnlyTheOneCoreProfile)
+{
+    // Mp3d at P = 8 reads P_m for its irregular cell accesses, and the
+    // realized-miss gate judges none of its jams.
+    const auto inits = std::make_shared<int>(0);
+    const auto w = countingWorkload("mp3d", inits);
+    const transform::DriverParams params = transformUnverified(w, 8);
+    EXPECT_EQ(*inits, 1);
+    (void)params.missRate(0);
+    EXPECT_EQ(*inits, 1) << "the one-core profile ran again";
+    (void)params.realizedAccesses(0);
+    EXPECT_EQ(*inits, 2) << "the run-matched profile had run already";
+}
+
+TEST(LazyProfiles, SpecsThatReadNoMissRateRunNone)
+{
+    // bench_ablate_sched's schedule-only variant and a prefetch-only
+    // spec, on workloads whose default spec reads both profiles.
+    for (const char *spec : {"schedule", "prefetch(dist=4)"}) {
+        for (const char *name : {"em3d", "erlebacher"}) {
+            for (int procs : {1, 8}) {
+                const auto inits = std::make_shared<int>(0);
+                const auto w = countingWorkload(name, inits);
+                transformUnverified(w, procs, spec);
+                EXPECT_EQ(*inits, 0)
+                    << spec << " on " << name << " at P = " << procs;
+            }
+        }
+    }
+}
+
+TEST(LazyProfiles, CopiesAndRepeatedReadsShareOneProfile)
+{
+    const auto inits = std::make_shared<int>(0);
+    transform::DriverParams params;
+    {
+        // Neither the workload nor the kernel outlives makeDriverParams.
+        const auto w = countingWorkload("em3d", inits);
+        ir::Kernel kernel = w.kernel.clone();
+        ir::assignRefIds(kernel);
+        params = makeDriverParams(w, kernel,
+                                  scaleConfig(sys::baseConfig(), w), 8, 16);
+    }
+    EXPECT_EQ(*inits, 0) << "makeDriverParams executed a profile";
+    const transform::DriverParams copy = params;
+    double rates = 0.0;
+    for (int ref_id = 0; ref_id < 50; ++ref_id)
+        rates += params.missRate(ref_id) + copy.missRate(ref_id);
+    EXPECT_EQ(*inits, 1);
+    for (int ref_id = 0; ref_id < 50; ++ref_id)
+        rates += copy.realizedMissRate(ref_id) +
+                 params.realizedMissRate(ref_id) +
+                 static_cast<double>(params.realizedAccesses(ref_id));
+    EXPECT_EQ(*inits, 2);
+    EXPECT_GT(rates, 0.0);
+
+    // Threads reading a fresh copy's profile concurrently run it once.
+    const auto more = std::make_shared<int>(0);
+    const auto w = countingWorkload("em3d", more);
+    ir::Kernel kernel = w.kernel.clone();
+    ir::assignRefIds(kernel);
+    const transform::DriverParams shared =
+        makeDriverParams(w, kernel, scaleConfig(sys::baseConfig(), w), 8, 16);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 4; ++t)
+        readers.emplace_back([shared] { (void)shared.missRate(0); });
+    for (std::thread &reader : readers)
+        reader.join();
+    EXPECT_EQ(*more, 1);
 }
 
 TEST(DriverGuards, WriteOnlyLoopNotJammed)

@@ -146,6 +146,17 @@ TEST(MpclustCli, BadConfigAndMissingValueAreNamed)
         << run.err;
 }
 
+TEST(MpclustCli, BadDumpIrModeIsNamedBeforeAnyRun)
+{
+    const CliRun run = runMpclust("em3d --scale 1 --dump-ir foo");
+    EXPECT_EQ(run.status, 2);
+    EXPECT_NE(run.err.find("mpclust: unknown IR dump mode 'foo'"),
+              std::string::npos)
+        << run.err;
+    EXPECT_NE(run.err.find("usage:"), std::string::npos) << run.err;
+    EXPECT_EQ(run.out, "") << "a run started before the check";
+}
+
 TEST(MpctuneCli, HelpPrintsUsageToStdoutAndSucceeds)
 {
     for (const char *flag : {"--help", "-h", "latbench --help"}) {

@@ -32,8 +32,9 @@
  *   --help, -h       print the usage to stdout and exit
  *
  * Numeric options are parsed strictly. An unknown option, a missing or
- * malformed value, or an unknown workload prints a message naming it
- * and the usage to stderr, and exits with status 2.
+ * malformed value (an unknown --config preset or --dump-ir mode too),
+ * or an unknown workload prints a message naming it and the usage to
+ * stderr, and exits with status 2, before any run.
  *
  * With both a base and a clustered run, also prints the model-vs-
  * measured table: predicted per-nest f (Equations 1-4) next to the
@@ -178,9 +179,12 @@ main(int argc, char **argv)
             trace_path = next();
         else if (arg == "--pipeline")
             pipeline_spec = next();
-        else if (arg == "--dump-ir")
+        else if (arg == "--dump-ir") {
             dump_ir = next();
-        else
+            if (dump_ir != "after-each-pass")
+                tool.usageError("unknown IR dump mode '" + dump_ir +
+                                "' (expected 'after-each-pass')");
+        } else
             tool.usageError("unknown option '" + arg + "'");
     }
 
